@@ -6,10 +6,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
-#include <thread>
 
 #include "native/lower.h"
+#include "support/disk_tier.h"
 #include "support/hash.h"
 #include "support/str.h"
 
@@ -130,14 +129,14 @@ std::shared_ptr<LoadedObject> JitCompiler::compile(
 
   std::error_code ec;
   if (!fs::exists(soPath, ec)) {
-    const fs::path cPath = dir / (stem + ".c");
-    const fs::path errPath = dir / (stem + ".err");
-    // Unique temp output so concurrent builders of the same key race only
-    // on the final rename (same content — either winner is fine).
-    const fs::path tmpPath =
-        dir / (stem + ".tmp." +
-               std::to_string(
-                   std::hash<std::thread::id>{}(std::this_thread::get_id())));
+    // The source, the compiler log and the object share one unique temp
+    // stem, so concurrent builders of the same key (threads or processes
+    // sharing the cache directory) never touch each other's files. They
+    // race only on the final rename, where either identical object wins.
+    const std::string tmpStem = uniqueTempPath((dir / stem).string());
+    const fs::path cPath = tmpStem + ".c";
+    const fs::path errPath = tmpStem + ".err";
+    const fs::path tmpPath = tmpStem + ".so";
     {
       std::ofstream out(cPath, std::ios::trunc);
       if (!out) {
@@ -158,6 +157,10 @@ std::shared_ptr<LoadedObject> JitCompiler::compile(
     if (rc != 0) {
       reason = cat("native compile failed (", compiler_, " exit ", rc, "): ",
                    readFileQuietly(errPath, 512));
+    }
+    fs::remove(cPath, ec);
+    fs::remove(errPath, ec);
+    if (rc != 0) {
       fs::remove(tmpPath, ec);
       return nullptr;
     }

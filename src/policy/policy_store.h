@@ -1,23 +1,19 @@
 // Persistent decision store of the policy engine (DESIGN.md §10): maps a
 // feature key — support::hash over (feature vector, platform, scale) —
-// to the transform decision learned for that kernel shape. Sharded
-// in-memory LRU (decisions are tiny, so the budget is entry-count based)
-// plus an optional on-disk tier following the service::ArtifactCache
-// conventions: line-oriented text format, doubles stored as bit
-// patterns, temp-file + atomic rename on write, corrupt entries deleted
-// and treated as misses.
+// to the transform decision learned for that kernel shape. The storage
+// engine is shared with service::ArtifactCache and lives in src/support:
+// a ShardedLru memory tier (decisions are tiny, so each weighs 1 and the
+// budget is an entry count) over an optional DiskTier of "groverpol 2"
+// records (support/record.h). This file adds only the decision codec.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "perf/estimator.h"
+#include "support/disk_tier.h"
+#include "support/sharded_lru.h"
 #include "sym/report.h"
 
 namespace grover::policy {
@@ -119,28 +115,9 @@ class PolicyStore {
   [[nodiscard]] std::string diskPath(std::uint64_t key) const;
 
  private:
-  struct Entry {
-    std::uint64_t key = 0;
-    Decision decision;
-  };
-  struct Shard {
-    std::mutex mutex;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
-    std::uint64_t hits = 0, misses = 0, evictions = 0;
-  };
-
-  Shard& shardFor(std::uint64_t key);
-  void putMemory(std::uint64_t key, const Decision& decision);
-  [[nodiscard]] std::optional<Decision> loadFromDisk(std::uint64_t key);
-  void storeToDisk(std::uint64_t key, const Decision& decision);
-
   Config config_;
-  std::size_t shardBudget_ = 0;  // entries per shard
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  mutable std::mutex disk_mutex_;
-  std::uint64_t disk_hits_ = 0, disk_failures_ = 0, disk_stores_ = 0;
+  ShardedLru<Decision> memory_;
+  DiskTier disk_;
 };
 
 }  // namespace grover::policy

@@ -1,114 +1,23 @@
 #include "service/artifact_cache.h"
 
-#include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <functional>
-#include <sstream>
-#include <thread>
-
 #include "ir/ir_parser.h"
 #include "ir/printer.h"
 #include "support/diagnostics.h"
-#include "support/hash.h"
+#include "support/record.h"
 
 namespace grover::service {
 namespace {
 
-// ---- on-disk artifact format ---------------------------------------------
+// ---- on-disk artifact codec ----------------------------------------------
 //
-// Line-oriented header plus length-prefixed payloads:
-//   groverart 2
-//   key <hex16>
-//   i <name> <integer>
-//   b <name> <u64 bit pattern>      (doubles, bit-exact)
-//   s <name> <len>\n<len raw bytes>\n
-//   end
-// Module payloads are the exact ir::printModule output; the loader
-// reparses and re-prints them and requires a byte-identical fixed point.
+// A "groverart 2" record (support/record.h). Module payloads are the exact
+// ir::printModule output; the loader reparses and re-prints them and
+// requires a byte-identical fixed point.
 
-class Writer {
- public:
-  void num(const char* name, std::int64_t v) {
-    os_ << "i " << name << " " << v << "\n";
-  }
-  void bits(const char* name, double v) {
-    std::uint64_t u = 0;
-    static_assert(sizeof(u) == sizeof(v));
-    std::memcpy(&u, &v, sizeof(u));
-    os_ << "b " << name << " " << u << "\n";
-  }
-  void str(const char* name, const std::string& s) {
-    os_ << "s " << name << " " << s.size() << "\n" << s << "\n";
-  }
-  std::ostringstream os_;
-};
-
-/// Strict reader; any deviation throws GroverError → treated as a
-/// corrupt artifact by the caller.
-class Reader {
- public:
-  explicit Reader(std::string text) : text_(std::move(text)) {}
-
-  std::string line() {
-    const std::size_t nl = text_.find('\n', pos_);
-    if (nl == std::string::npos) throw GroverError("artifact: truncated");
-    std::string out = text_.substr(pos_, nl - pos_);
-    pos_ = nl + 1;
-    return out;
-  }
-  void expectLine(const std::string& want) {
-    if (line() != want) throw GroverError("artifact: bad header");
-  }
-  std::int64_t num(const char* name) {
-    const std::string l = line();
-    std::int64_t v = 0;
-    if (std::sscanf(l.c_str(), ("i " + std::string(name) + " %lld").c_str(),
-                    reinterpret_cast<long long*>(&v)) != 1) {
-      throw GroverError("artifact: expected int field " + std::string(name));
-    }
-    return v;
-  }
-  double bits(const char* name) {
-    const std::string l = line();
-    unsigned long long u = 0;
-    if (std::sscanf(l.c_str(), ("b " + std::string(name) + " %llu").c_str(),
-                    &u) != 1) {
-      throw GroverError("artifact: expected bits field " + std::string(name));
-    }
-    double v = 0;
-    const std::uint64_t u64 = u;
-    std::memcpy(&v, &u64, sizeof(v));
-    return v;
-  }
-  std::string str(const char* name) {
-    const std::string l = line();
-    unsigned long long len = 0;
-    if (std::sscanf(l.c_str(), ("s " + std::string(name) + " %llu").c_str(),
-                    &len) != 1) {
-      throw GroverError("artifact: expected string field " +
-                        std::string(name));
-    }
-    if (pos_ + len + 1 > text_.size() || text_[pos_ + len] != '\n') {
-      throw GroverError("artifact: bad string length for " +
-                        std::string(name));
-    }
-    std::string out = text_.substr(pos_, len);
-    pos_ += len + 1;
-    return out;
-  }
-
- private:
-  std::string text_;
-  std::size_t pos_ = 0;
-};
+constexpr const char* kMagic = "groverart 2";
 
 std::string serialize(std::uint64_t key, const Artifact& a) {
-  Writer w;
-  w.os_ << "groverart 2\n" << "key " << toHex64(key) << "\n";
+  RecordWriter w(kMagic, key);
   w.num("ok", a.ok ? 1 : 0);
   w.str("diagnostics", a.diagnostics);
   w.num("anyTransformed", a.report.anyTransformed ? 1 : 0);
@@ -139,22 +48,7 @@ std::string serialize(std::uint64_t key, const Artifact& a) {
   w.num("proofVetoed", a.proofVetoed ? 1 : 0);
   w.str("original", a.originalText);
   w.str("transformed", a.transformedText);
-  w.os_ << "end\n";
-  return w.os_.str();
-}
-
-sym::ProofStatus toProofStatus(std::int64_t v) {
-  if (v < 0 || v > static_cast<std::int64_t>(sym::ProofStatus::Unknown)) {
-    throw GroverError("artifact: bad proof status");
-  }
-  return static_cast<sym::ProofStatus>(v);
-}
-
-grv::IndexPattern toPattern(std::int64_t v) {
-  if (v < 0 || v > static_cast<std::int64_t>(grv::IndexPattern::Other)) {
-    throw GroverError("artifact: bad index pattern");
-  }
-  return static_cast<grv::IndexPattern>(v);
+  return w.finish();
 }
 
 /// Reject module text the parser would not reproduce byte-identically.
@@ -167,15 +61,13 @@ void requireRoundTrip(const std::string& text) {
   }
 }
 
-Artifact deserialize(std::uint64_t key, std::string text) {
-  Reader r(std::move(text));
-  r.expectLine("groverart 2");
-  r.expectLine("key " + toHex64(key));
-  Artifact a;
-  a.ok = r.num("ok") != 0;
-  a.diagnostics = r.str("diagnostics");
-  a.report.anyTransformed = r.num("anyTransformed") != 0;
-  a.report.barriersRemoved = r.num("barriersRemoved") != 0;
+ArtifactPtr deserialize(std::uint64_t key, std::string text) {
+  RecordReader r(std::move(text), kMagic, key);
+  auto a = std::make_shared<Artifact>();
+  a->ok = r.num("ok") != 0;
+  a->diagnostics = r.str("diagnostics");
+  a->report.anyTransformed = r.num("anyTransformed") != 0;
+  a->report.barriersRemoved = r.num("barriersRemoved") != 0;
   const std::int64_t numBuffers = r.num("numBuffers");
   if (numBuffers < 0 || numBuffers > 4096) {
     throw GroverError("artifact: bad buffer count");
@@ -190,182 +82,76 @@ Artifact deserialize(std::uint64_t key, std::string text) {
     b.llIndex = r.str("llIndex");
     b.nglIndex = r.str("nglIndex");
     b.solution = r.str("solution");
-    b.lsPattern = toPattern(r.num("lsPattern"));
-    b.llPattern = toPattern(r.num("llPattern"));
+    b.lsPattern = r.enumerator("lsPattern", grv::IndexPattern::Other);
+    b.llPattern = r.enumerator("llPattern", grv::IndexPattern::Other);
     b.numLocalLoads = static_cast<unsigned>(r.num("numLocalLoads"));
     b.numStagingPairs = static_cast<unsigned>(r.num("numStagingPairs"));
-    a.report.buffers.push_back(std::move(b));
+    a->report.buffers.push_back(std::move(b));
   }
-  a.hasEstimate = r.num("hasEstimate") != 0;
-  a.cyclesWithLM = r.bits("cyclesWithLM");
-  a.cyclesWithoutLM = r.bits("cyclesWithoutLM");
-  a.normalized = r.bits("normalized");
-  const std::int64_t outcome = r.num("outcome");
-  if (outcome < 0 || outcome > static_cast<std::int64_t>(perf::Outcome::Similar)) {
-    throw GroverError("artifact: bad outcome");
-  }
-  a.outcome = static_cast<perf::Outcome>(outcome);
-  a.proofOriginal = toProofStatus(r.num("proofOriginal"));
-  a.proofTransformed = toProofStatus(r.num("proofTransformed"));
-  a.proofNote = r.str("proofNote");
-  a.proofVetoed = r.num("proofVetoed") != 0;
-  a.originalText = r.str("original");
-  a.transformedText = r.str("transformed");
-  r.expectLine("end");
-  requireRoundTrip(a.originalText);
-  requireRoundTrip(a.transformedText);
+  a->hasEstimate = r.num("hasEstimate") != 0;
+  a->cyclesWithLM = r.bits("cyclesWithLM");
+  a->cyclesWithoutLM = r.bits("cyclesWithoutLM");
+  a->normalized = r.bits("normalized");
+  a->outcome = r.enumerator("outcome", perf::Outcome::Similar);
+  a->proofOriginal = r.enumerator("proofOriginal", sym::ProofStatus::Unknown);
+  a->proofTransformed =
+      r.enumerator("proofTransformed", sym::ProofStatus::Unknown);
+  a->proofNote = r.str("proofNote");
+  a->proofVetoed = r.num("proofVetoed") != 0;
+  a->originalText = r.str("original");
+  a->transformedText = r.str("transformed");
+  r.finish();
+  requireRoundTrip(a->originalText);
+  requireRoundTrip(a->transformedText);
   return a;
 }
 
 }  // namespace
 
-ArtifactCache::ArtifactCache(Config config) : config_(std::move(config)) {
-  const unsigned n = std::max(1u, config_.shards);
-  shardBudget_ = std::max<std::size_t>(1, config_.maxBytes / n);
-  shards_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  if (!config_.diskDir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(config_.diskDir, ec);
-  }
-}
-
-ArtifactCache::Shard& ArtifactCache::shardFor(std::uint64_t key) {
-  // The low bits index the shard; FNV-1a mixes well enough for this.
-  return *shards_[key % shards_.size()];
-}
+ArtifactCache::ArtifactCache(Config config)
+    : config_(std::move(config)),
+      memory_(config_.maxBytes, config_.shards),
+      disk_(config_.diskDir, ".grvart") {}
 
 ArtifactPtr ArtifactCache::get(std::uint64_t key) {
-  Shard& shard = shardFor(key);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
-    return nullptr;
-  }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->artifact;
+  return memory_.get(key).value_or(nullptr);
 }
 
 void ArtifactCache::put(std::uint64_t key, ArtifactPtr artifact) {
   if (artifact == nullptr) return;
   const std::size_t bytes = artifact->byteSize();
-  Shard& shard = shardFor(key);
-  std::lock_guard lock(shard.mutex);
-  if (const auto it = shard.index.find(key); it != shard.index.end()) {
-    shard.bytes -= it->second->bytes;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-  }
-  shard.lru.push_front(Entry{key, std::move(artifact), bytes});
-  shard.index[key] = shard.lru.begin();
-  shard.bytes += bytes;
-  while (shard.bytes > shardBudget_ && !shard.lru.empty()) {
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
+  memory_.put(key, std::move(artifact), bytes);
 }
 
 std::string ArtifactCache::diskPath(std::uint64_t key) const {
-  if (config_.diskDir.empty()) return {};
-  return config_.diskDir + "/" + toHex64(key) + ".grvart";
+  return disk_.path(key);
 }
 
 ArtifactPtr ArtifactCache::loadFromDisk(std::uint64_t key) {
-  const std::string path = diskPath(key);
-  if (path.empty()) return nullptr;
-  std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::lock_guard lock(disk_mutex_);
-      ++disk_misses_;
-      return nullptr;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (in.bad()) {
-      std::lock_guard lock(disk_mutex_);
-      ++disk_failures_;
-      return nullptr;
-    }
-    text = buf.str();
-  }
-  try {
-    auto artifact = std::make_shared<Artifact>(deserialize(key, std::move(text)));
-    std::lock_guard lock(disk_mutex_);
-    ++disk_hits_;
-    return artifact;
-  } catch (const std::exception&) {
-    // Corrupt artifact: drop it so the recompiled result can replace it.
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    std::lock_guard lock(disk_mutex_);
-    ++disk_failures_;
-    return nullptr;
-  }
+  return disk_
+      .load(key, [key](std::string text) {
+        return deserialize(key, std::move(text));
+      })
+      .value_or(nullptr);
 }
 
 void ArtifactCache::storeToDisk(std::uint64_t key, const Artifact& artifact) {
-  const std::string path = diskPath(key);
-  if (path.empty()) return;
-  const std::string payload = serialize(key, artifact);
-  // Write-then-rename so concurrent readers never observe a torn file
-  // and a crash mid-write can never leave a truncated artifact — only a
-  // stale .tmp. The temp name is unique per write (not just per key) so
-  // two processes sharing a cache directory cannot interleave writes to
-  // the same temp file.
-  static std::atomic<std::uint64_t> tmpCounter{0};
-  Fnv1a tmpTag;
-  tmpTag.update(static_cast<std::uint64_t>(
-      std::hash<std::thread::id>{}(std::this_thread::get_id())));
-  tmpTag.update(static_cast<std::uint64_t>(
-      reinterpret_cast<std::uintptr_t>(&tmpCounter)));  // per-process (ASLR)
-  tmpTag.update(tmpCounter.fetch_add(1));
-  const std::string tmp = path + ".tmp" + toHex64(tmpTag.digest());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return;
-    out << payload;
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::error_code cleanupEc;
-      std::filesystem::remove(tmp, cleanupEc);
-      return;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return;
-  }
-  std::lock_guard lock(disk_mutex_);
-  ++disk_stores_;
+  if (!config_.diskDir.empty()) disk_.write(key, serialize(key, artifact));
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {
+  const auto memory = memory_.stats();
+  const DiskTier::Stats disk = disk_.stats();
   Stats s;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    s.hits += shard->hits;
-    s.misses += shard->misses;
-    s.evictions += shard->evictions;
-    s.entries += shard->lru.size();
-    s.bytesInUse += shard->bytes;
-  }
-  std::lock_guard lock(disk_mutex_);
-  s.diskHits = disk_hits_;
-  s.diskMisses = disk_misses_;
-  s.diskLoadFailures = disk_failures_;
-  s.diskStores = disk_stores_;
+  s.hits = memory.hits;
+  s.misses = memory.misses;
+  s.evictions = memory.evictions;
+  s.entries = memory.entries;
+  s.bytesInUse = memory.weight;
+  s.diskHits = disk.hits;
+  s.diskMisses = disk.misses;
+  s.diskLoadFailures = disk.failures;
+  s.diskStores = disk.stores;
   return s;
 }
 

@@ -1,7 +1,8 @@
 // Content-addressed artifact cache: a sharded in-memory LRU with a byte
-// budget, plus an optional on-disk tier. Keys are stable 64-bit content
-// hashes of (source, transform options, platform, scale) — see
-// CompileService::cacheKey.
+// budget, plus an optional on-disk tier — the storage engine in
+// src/support, shared with policy::PolicyStore; this file adds the
+// artifact codec. Keys are stable 64-bit content hashes of (source,
+// transform options, platform, scale) — see CompileService::cacheKey.
 //
 // The on-disk format embeds the modules exactly as ir/printer.h renders
 // them and reloads them through ir::parseModule: the textual IR
@@ -12,14 +13,11 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "service/artifact.h"
+#include "support/disk_tier.h"
+#include "support/sharded_lru.h"
 
 namespace grover::service {
 
@@ -53,7 +51,8 @@ class ArtifactCache {
   [[nodiscard]] ArtifactPtr get(std::uint64_t key);
 
   /// Insert/overwrite; evicts least-recently-used entries of the shard
-  /// until it fits its byte budget again.
+  /// until it fits its byte budget again. An artifact larger than the
+  /// shard's slice evicts nothing and is not retained.
   void put(std::uint64_t key, ArtifactPtr artifact);
 
   /// Disk-tier probe. Returns null on miss, on a disabled disk tier, and
@@ -75,29 +74,9 @@ class ArtifactCache {
   [[nodiscard]] std::string diskPath(std::uint64_t key) const;
 
  private:
-  struct Entry {
-    std::uint64_t key = 0;
-    ArtifactPtr artifact;
-    std::size_t bytes = 0;
-  };
-  struct Shard {
-    std::mutex mutex;
-    std::list<Entry> lru;  // front = most recently used
-    // key → position in lru. std::list iterators stay valid on splice.
-    std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
-    std::size_t bytes = 0;
-    std::uint64_t hits = 0, misses = 0, evictions = 0;
-  };
-
-  Shard& shardFor(std::uint64_t key);
-
   Config config_;
-  std::size_t shardBudget_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  mutable std::mutex disk_mutex_;
-  std::uint64_t disk_hits_ = 0, disk_misses_ = 0, disk_failures_ = 0,
-                disk_stores_ = 0;
+  ShardedLru<ArtifactPtr> memory_;
+  DiskTier disk_;
 };
 
 }  // namespace grover::service

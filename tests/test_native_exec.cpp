@@ -5,13 +5,20 @@
 // sequential reference validator. A kernel_gen sweep cross-checks the
 // backend on generated control-flow shapes, and the degradation paths
 // (no compiler, native disabled) must fall back to the interpreter with
-// a reason, never abort. Finally, the service's measurement sampling
-// must fold real np observations into stored decisions and refresh
-// mismatched ones.
+// a reason, never abort. Two JIT compilers sharing one cache directory
+// must not spoil each other's builds. Finally, the service's measurement
+// sampling must fold real np observations into stored decisions and
+// refresh mismatched ones.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <barrier>
 #include <cstddef>
+#include <filesystem>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/app.h"
@@ -19,12 +26,15 @@
 #include "check/kernel_gen.h"
 #include "grovercl/harness.h"
 #include "native/engine.h"
+#include "native/jit.h"
 #include "perf/measure.h"
 #include "rt/interpreter.h"
 #include "service/compile_service.h"
 
 namespace grover {
 namespace {
+
+namespace fs = std::filesystem;
 
 /// Byte-exact copy of every buffer of an instance.
 std::vector<std::vector<std::byte>> snapshot(const apps::Instance& in) {
@@ -127,6 +137,54 @@ TEST(NativeExec, GracefulFallbackWithoutCompiler) {
   std::string reason;
   EXPECT_EQ(engine.prepare(image, reason), nullptr);
   EXPECT_FALSE(reason.empty());
+}
+
+// Two compilers sharing one cache directory build the same sources at
+// the same moment. Every intermediate file (C source, compiler log,
+// object) must be private to its builder, so each compile() resolves its
+// symbol no matter how the two interleave.
+TEST(NativeExec, ConcurrentCompilersShareACacheDir) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("grover_jit_race_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  native::JitOptions options;
+  options.cacheDir = dir.string();
+  native::JitCompiler first(options);
+  native::JitCompiler second(options);
+  if (!first.available()) {
+    GTEST_SKIP() << "native backend unavailable: "
+                 << first.unavailableReason();
+  }
+
+  // A long comment keeps the source write and the compiler's read of it
+  // wide enough to overlap.
+  const std::string padding = "/*" + std::string(1 << 22, '-') + "*/\n";
+  constexpr int kRounds = 6;
+  std::barrier sync(2);
+  const auto build = [&](native::JitCompiler& jit,
+                         std::vector<std::string>& failures) {
+    for (int round = 0; round < kRounds; ++round) {
+      const std::string source = padding + "int grover_race_probe(void) { " +
+                                 "return " + std::to_string(round) + "; }\n";
+      sync.arrive_and_wait();
+      std::string reason;
+      if (jit.compile(source, "grover_race_probe", reason) == nullptr) {
+        failures.push_back(reason);
+      }
+    }
+  };
+  std::vector<std::string> firstFailures, secondFailures;
+  std::thread other(build, std::ref(second), std::ref(secondFailures));
+  build(first, firstFailures);
+  other.join();
+
+  EXPECT_TRUE(firstFailures.empty()) << firstFailures.front();
+  EXPECT_TRUE(secondFailures.empty()) << secondFailures.front();
+  // Only installed objects remain: no temp file outlives its compile.
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().extension(), ".so") << entry.path();
+  }
+  fs::remove_all(dir);
 }
 
 // The measurement layer degrades the same way: with the native path

@@ -10,7 +10,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/app.h"
@@ -35,6 +37,13 @@ fs::path freshDir(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 policy::KernelFeatures featuresOf(const std::string& appId) {
@@ -178,6 +187,104 @@ TEST(PolicyStore, CorruptDiskEntryIsDeletedAndMisses) {
   policy::PolicyStore again(config);
   ASSERT_TRUE(again.lookup(42).has_value());
   EXPECT_EQ(again.lookup(42)->predictedNp, 0.9);
+
+  // A string length of 2^64-1 must not wrap the reader's bounds check
+  // and be accepted as "the rest of the file".
+  std::string text = readFile(path);
+  const std::string source = "s source 0\n\n";
+  const std::size_t at = text.find(source);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, source.size(), "s source 18446744073709551615\n");
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << text;
+  }
+  policy::PolicyStore overflow(config);
+  EXPECT_FALSE(overflow.lookup(42).has_value());
+  EXPECT_EQ(overflow.stats().diskLoadFailures, 1u);
+  EXPECT_EQ(overflow.stats().diskHits, 0u);
+  EXPECT_FALSE(fs::exists(path)) << "corrupt entry must be deleted";
+  fs::remove_all(dir);
+}
+
+// Pins the on-disk bytes of one decision: existing policy directories
+// must keep loading, so the format may only change with its version tag.
+TEST(PolicyStore, DiskFormatIsPinned) {
+  const fs::path dir = freshDir("golden");
+  policy::PolicyStore::Config config;
+  config.diskDir = dir.string();
+  policy::PolicyStore store(config);
+  policy::Decision d;
+  d.variant = policy::Variant::Transformed;
+  d.predictedOutcome = perf::Outcome::Gain;
+  d.predictedNp = 1.5;
+  d.confidence = 0.95;
+  d.source = "estimate";
+  d.ewmaNp = 1.25;
+  d.observations = 2;
+  d.mismatch = true;
+  d.proof = sym::ProofStatus::Proved;
+  d.storedAtMs = 1700000000000;
+  store.store(42, d);
+
+  EXPECT_EQ(store.diskPath(42),
+            (dir / "000000000000002a.grvpol").string());
+  EXPECT_EQ(readFile(store.diskPath(42)),
+            "groverpol 2\n"
+            "key 000000000000002a\n"
+            "i variant 1\n"
+            "i outcome 0\n"
+            "b predictedNp 4609434218613702656\n"
+            "b confidence 4606732058837280358\n"
+            "s source 8\n"
+            "estimate\n"
+            "b ewmaNp 4608308318706860032\n"
+            "i observations 2\n"
+            "i mismatch 1\n"
+            "i proof 1\n"
+            "i storedAtMs 1700000000000\n"
+            "end\n");
+  fs::remove_all(dir);
+}
+
+// Several threads rewrite and read one key through a disk-backed store
+// (the feedback loop does this in production): every write lands whole,
+// so a fresh store reloads a valid entry and no temp file is left.
+TEST(PolicyStore, ConcurrentWritersNeverTearAnEntry) {
+  const fs::path dir = freshDir("concurrent");
+  policy::PolicyStore::Config config;
+  config.diskDir = dir.string();
+  config.shards = 2;
+  constexpr int kThreads = 4;
+  constexpr int kWrites = 25;
+  {
+    policy::PolicyStore store(config);
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&store, t] {
+        for (int i = 0; i < kWrites; ++i) {
+          policy::Decision d;
+          d.predictedNp = 1.0 + t + i / 100.0;
+          d.source = std::string(static_cast<std::size_t>(t + 1), 's');
+          store.store(7, d);
+          EXPECT_TRUE(store.lookup(7).has_value());
+          EXPECT_FALSE(store.lookup(100 + t).has_value());
+        }
+      });
+    }
+    for (std::thread& w : writers) w.join();
+    const auto stats = store.stats();
+    EXPECT_EQ(stats.diskStores, static_cast<std::uint64_t>(kThreads * kWrites));
+    EXPECT_EQ(stats.diskLoadFailures, 0u);
+  }
+  policy::PolicyStore reloaded(config);
+  const auto hit = reloaded.lookup(7);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->source.size(), static_cast<std::size_t>(hit->predictedNp));
+  EXPECT_EQ(reloaded.stats().diskLoadFailures, 0u);
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().extension(), ".grvpol") << entry.path();
+  }
   fs::remove_all(dir);
 }
 

@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "grovercl/harness.h"
 #include "service/compile_service.h"
@@ -75,6 +76,98 @@ TEST(ArtifactCacheLru, OversizedArtifactIsNotRetained) {
   cache.put(7, makeArtifact(5000));
   EXPECT_EQ(cache.get(7), nullptr);
   EXPECT_LE(cache.stats().bytesInUse, config.maxBytes);
+
+  // The oversized newcomer must not flush the older entries of its shard;
+  // overwriting a key with an oversized value drops only that key.
+  cache.put(1, makeArtifact(10));
+  cache.put(2, makeArtifact(10));
+  cache.put(8, makeArtifact(5000));
+  cache.put(2, makeArtifact(5000));
+  EXPECT_NE(cache.get(1), nullptr);
+  EXPECT_EQ(cache.get(2), nullptr);
+  EXPECT_EQ(cache.get(8), nullptr);
+  const ArtifactCache::Stats s = cache.stats();
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.bytesInUse, makeArtifact(10)->byteSize());
+}
+
+// Pins the on-disk bytes of one artifact: existing cache directories must
+// keep loading, so the format may only change with its version tag.
+TEST(ArtifactCacheDisk, DiskFormatIsPinned) {
+  const std::string dir = freshDir("golden");
+  ArtifactCache::Config config;
+  config.diskDir = dir;
+  ArtifactCache cache(config);
+
+  Artifact a;
+  a.ok = true;
+  a.diagnostics = "w";
+  a.report.anyTransformed = true;
+  grv::BufferResult b;
+  b.bufferName = "tile";
+  b.transformed = true;
+  b.glIndex = "(gx)";
+  b.solution = "lx := lx";
+  b.lsPattern = grv::IndexPattern::Simple;
+  b.llPattern = grv::IndexPattern::PlusMul;
+  b.numLocalLoads = 3;
+  b.numStagingPairs = 1;
+  a.report.buffers.push_back(b);
+  a.hasEstimate = true;
+  a.cyclesWithLM = 1000.0;
+  a.cyclesWithoutLM = 800.0;
+  a.normalized = 1.25;
+  a.outcome = perf::Outcome::Gain;
+  a.proofOriginal = sym::ProofStatus::Proved;
+  a.proofTransformed = sym::ProofStatus::Unknown;
+  a.proofNote = "n";
+  cache.storeToDisk(42, a);
+
+  EXPECT_EQ(cache.diskPath(42), dir + "/000000000000002a.grvart");
+  std::ifstream in(cache.diskPath(42), std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(buf.str(),
+            "groverart 2\n"
+            "key 000000000000002a\n"
+            "i ok 1\n"
+            "s diagnostics 1\nw\n"
+            "i anyTransformed 1\n"
+            "i barriersRemoved 0\n"
+            "i numBuffers 1\n"
+            "s name 4\ntile\n"
+            "i transformed 1\n"
+            "s reason 0\n\n"
+            "s glIndex 4\n(gx)\n"
+            "s lsIndex 0\n\n"
+            "s llIndex 0\n\n"
+            "s nglIndex 0\n\n"
+            "s solution 8\nlx := lx\n"
+            "i lsPattern 1\n"
+            "i llPattern 2\n"
+            "i numLocalLoads 3\n"
+            "i numStagingPairs 1\n"
+            "i hasEstimate 1\n"
+            "b cyclesWithLM 4652007308841189376\n"
+            "b cyclesWithoutLM 4650248090236747776\n"
+            "b normalized 4608308318706860032\n"
+            "i outcome 0\n"
+            "i proofOriginal 1\n"
+            "i proofTransformed 3\n"
+            "s proofNote 1\nn\n"
+            "i proofVetoed 0\n"
+            "s original 0\n\n"
+            "s transformed 0\n\n"
+            "end\n");
+
+  const ArtifactPtr reloaded = cache.loadFromDisk(42);
+  ASSERT_NE(reloaded, nullptr);
+  EXPECT_EQ(reloaded->report.buffers.at(0).llPattern,
+            grv::IndexPattern::PlusMul);
+  EXPECT_EQ(reloaded->normalized, 1.25);
+  EXPECT_EQ(cache.stats().diskHits, 1u);
+  fs::remove_all(dir);
 }
 
 TEST(ServiceNegativeCache, CompileFailureIsCachedWithoutRecompiling) {
