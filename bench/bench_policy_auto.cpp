@@ -65,7 +65,6 @@ int main() {
   double coldMs = 0;
   {
     service::ServiceConfig config;
-    config.estimateThreads = 0;  // one request at a time: use all cores
     config.policyStore.diskDir = policyDir.string();
     service::CompileService service(config);
     const Clock::time_point start = Clock::now();

@@ -12,7 +12,8 @@ namespace grover::perf {
 PerfEstimate estimate(const PlatformSpec& platform, ir::Function& fn,
                       const rt::NDRange& range,
                       std::vector<rt::KernelArg> args,
-                      std::uint32_t sampleStride, unsigned threads) {
+                      std::uint32_t sampleStride, unsigned threads,
+                      const std::function<void()>& checkpoint) {
   rt::Launch launch(fn, range, std::move(args));
   if (sampleStride > 1) launch.setGroupSampling(sampleStride);
   if (threads == 0) {
@@ -23,14 +24,14 @@ PerfEstimate estimate(const PlatformSpec& platform, ir::Function& fn,
   PerfEstimate est;
   if (platform.kind == PlatformKind::CpuCacheOnly) {
     CpuModel model(platform);
-    runTracedLaunch(model, launch.image(), groups, threads);
+    runTracedLaunch(model, launch.image(), groups, threads, checkpoint);
     est.cycles = model.totalCycles() * sampleStride;
     est.counters = model.counters();
     est.memoryCycles = model.memoryCycles();
     est.l1HitRate = model.l1HitRate();
   } else {
     GpuModel model(platform);
-    runTracedLaunch(model, launch.image(), groups, threads);
+    runTracedLaunch(model, launch.image(), groups, threads, checkpoint);
     est.cycles = model.totalCycles() * sampleStride;
     est.counters = model.counters();
     est.transactions = model.globalTransactions();

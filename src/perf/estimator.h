@@ -5,6 +5,7 @@
 // cancels.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,12 +30,13 @@ struct PerfEstimate {
 /// `threads` sets how many host threads execute and digest the trace
 /// (0 = hardware_concurrency); the estimate is bit-identical for every
 /// thread count — see perf/traced_driver.h for the guarantee.
-[[nodiscard]] PerfEstimate estimate(const PlatformSpec& platform,
-                                    ir::Function& fn,
-                                    const rt::NDRange& range,
-                                    std::vector<rt::KernelArg> args,
-                                    std::uint32_t sampleStride = 1,
-                                    unsigned threads = 0);
+/// `checkpoint` (optional) is called between work-groups (or waves of
+/// them); an exception it throws abandons the estimate, which is how a
+/// caller cancels one mid-run.
+[[nodiscard]] PerfEstimate estimate(
+    const PlatformSpec& platform, ir::Function& fn, const rt::NDRange& range,
+    std::vector<rt::KernelArg> args, std::uint32_t sampleStride = 1,
+    unsigned threads = 0, const std::function<void()>& checkpoint = {});
 
 /// normalized performance of "without local memory" vs "with":
 /// np > 1 → disabling local memory is faster (paper Fig. 2/10 y-axis).

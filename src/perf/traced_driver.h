@@ -21,6 +21,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -35,6 +36,10 @@ namespace grover::perf {
 /// trace through `model`'s digest/merge pipeline using `threads` workers.
 /// Returns the aggregate instruction counters of the executed groups.
 ///
+/// `checkpoint` (optional) runs on the calling thread before each group
+/// (one thread) or each wave (several); an exception it throws abandons
+/// the launch and propagates to the caller.
+///
 /// The worker count is capped at the hardware concurrency: the pipeline is
 /// CPU-bound, so oversubscribing only adds timeslicing and cache-thrash
 /// cost, and the estimate is bit-identical for every thread count anyway.
@@ -42,7 +47,7 @@ template <typename Model>
 rt::InstCounters runTracedLaunch(
     Model& model, const rt::KernelImage& image,
     const std::vector<std::array<std::uint32_t, 3>>& groups,
-    unsigned threads) {
+    unsigned threads, const std::function<void()>& checkpoint = {}) {
   threads = std::min(threads,
                      std::max(1U, std::thread::hardware_concurrency()));
   if (threads <= 1) {
@@ -52,6 +57,7 @@ rt::InstCounters runTracedLaunch(
     rt::GroupTrace trace;
     exec.setTrace(&trace);
     for (std::size_t dense = 0; dense < groups.size(); ++dense) {
+      if (checkpoint) checkpoint();
       exec.runGroup(groups[dense]);
       model.mergeGroup(model.digestGroup(
           model.shardOf(static_cast<std::uint32_t>(dense)), trace));
@@ -75,6 +81,7 @@ rt::InstCounters runTracedLaunch(
   std::size_t done = 0;
   std::size_t avgBytes = 0;
   while (done < groups.size()) {
+    if (checkpoint) checkpoint();  // no task is in flight here
     const std::size_t wave =
         rt::nextTraceWave(groups.size() - done, threads, avgBytes);
     if (traces.size() < wave) traces.resize(wave);

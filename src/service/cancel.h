@@ -10,7 +10,8 @@
 //
 // Cancellation is polled, not preemptive: the compile pipeline checks
 // the scope at stage boundaries (after the front-end, after the
-// transform, before each estimate) and abandons the rest. Warm work —
+// transform, before each variant's proof and estimate) and between the
+// work-groups of each estimate, and abandons the rest. Warm work —
 // cache hits, warm policy-path artifact builds — never checks; it is
 // cheap and its artifact is exactly what makes the next request warm.
 #pragma once

@@ -1,7 +1,11 @@
 #include "service/compile_service.h"
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <exception>
+#include <future>
+#include <memory>
 
 #include "grovercl/compiler.h"
 #include "ir/printer.h"
@@ -47,6 +51,34 @@ sym::ProofStatus worseOf(sym::ProofStatus a, sym::ProofStatus b) {
     return 0;
   };
   return rank(a) >= rank(b) ? a : b;
+}
+
+/// Fork-join of two independent tails of one compile on the service's
+/// own pool. `side` is offered to the pool as a reclaimable task while
+/// the caller runs `here`; then the caller claims `side` itself unless a
+/// worker already started it, in which case it waits for that worker. So
+/// a saturated or one-worker pool runs both tails serially on the caller
+/// and can never deadlock, while an idle one overlaps them. Returns only
+/// after both tails finished. If both throw, `side`'s exception wins.
+template <typename Side, typename Here>
+void forkJoin(ThreadPool& pool, Side side, Here here) {
+  auto task = std::make_shared<std::packaged_task<void()>>(std::move(side));
+  auto claimed = std::make_shared<std::atomic_flag>();
+  std::future<void> sideDone = task->get_future();
+  // The queued copy outlives this call when the caller reclaims `side`;
+  // it then only finds the flag set and never touches `side`'s captures.
+  pool.submit([task, claimed] {
+    if (!claimed->test_and_set()) (*task)();
+  });
+  std::exception_ptr hereError;
+  try {
+    here();
+  } catch (...) {
+    hereError = std::current_exception();
+  }
+  if (!claimed->test_and_set()) (*task)();
+  sideDone.get();  // waits for a worker-run `side`; rethrows its error
+  if (hereError != nullptr) std::rethrow_exception(hereError);
 }
 
 }  // namespace
@@ -556,52 +588,89 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
     artifact->transformedText = ir::printModule(*transformed.module);
   }
 
-  if (resolved.options.prove) {
-    checkCancelled();
-    StageTimer timer(*this, &Counters::proveNs);
-    // App requests prove under their real launch geometry and argument
-    // values; raw sources prove under a per-kernel geometry with the
-    // dimensions the kernel never queries collapsed to extent 1.
-    sym::ProveOptions popts;
-    const bool haveLaunch = !resolved.appId.empty();
-    if (haveLaunch) {
-      const apps::Application& app = apps::applicationById(resolved.appId);
-      const apps::Instance instance = app.makeInstance(resolved.scale);
-      popts = sym::proveOptionsForLaunch(instance.range, instance.args);
-    }
-    const auto proveMatching = [&](Program& program) {
-      sym::ProofStatus agg = sym::ProofStatus::Unchecked;
-      std::string note;
-      for (const auto& fn : program.module->functions()) {
-        if (!fn->isKernel()) continue;
-        if (!resolved.kernelName.empty() &&
-            fn->name() != resolved.kernelName) {
-          continue;
-        }
-        sym::SymbolicReport report = sym::proveRaceFreedom(
-            *fn, haveLaunch ? popts : sym::proveOptionsForKernel(*fn));
-        bump(&Counters::proofsRun);
-        switch (report.status) {
-          case sym::ProofStatus::Proved:
-            bump(&Counters::proofsProved);
-            break;
-          case sym::ProofStatus::Refuted:
-            bump(&Counters::proofsRefuted);
-            break;
-          default:
-            bump(&Counters::proofsUnknown);
-            break;
-        }
-        const sym::ProofStatus before = agg;
-        agg = worseOf(report.status, agg);
-        if (agg != before || note.empty()) {
-          note = fn->name() + ": " + report.summary();
-        }
+  // Per-variant tails: each proves (when asked) and then estimates its
+  // own Program on one thread. One thread per tail, because the prover
+  // and the estimator's rt::KernelImage (which renumbers the function)
+  // must not touch one function at once; the two Programs share nothing,
+  // so the tails run concurrently (DESIGN.md §8).
+  const apps::Application* app =
+      resolved.appId.empty() ? nullptr
+                             : &apps::applicationById(resolved.appId);
+  // App requests prove under their real launch geometry and argument
+  // values; raw sources prove under a per-kernel geometry with the
+  // dimensions the kernel never queries collapsed to extent 1.
+  sym::ProveOptions popts;
+  if (resolved.options.prove && app != nullptr) {
+    const apps::Instance instance = app->makeInstance(resolved.scale);
+    popts = sym::proveOptionsForLaunch(instance.range, instance.args);
+  }
+  const auto proveMatching = [&](Program& program) {
+    sym::ProofStatus agg = sym::ProofStatus::Unchecked;
+    std::string note;
+    for (const auto& fn : program.module->functions()) {
+      if (!fn->isKernel()) continue;
+      if (!resolved.kernelName.empty() && fn->name() != resolved.kernelName) {
+        continue;
       }
-      return std::make_pair(agg, note);
-    };
-    const auto [origStatus, origNote] = proveMatching(original);
-    const auto [transStatus, transNote] = proveMatching(transformed);
+      sym::SymbolicReport report = sym::proveRaceFreedom(
+          *fn, app != nullptr ? popts : sym::proveOptionsForKernel(*fn));
+      bump(&Counters::proofsRun);
+      switch (report.status) {
+        case sym::ProofStatus::Proved:
+          bump(&Counters::proofsProved);
+          break;
+        case sym::ProofStatus::Refuted:
+          bump(&Counters::proofsRefuted);
+          break;
+        default:
+          bump(&Counters::proofsUnknown);
+          break;
+      }
+      const sym::ProofStatus before = agg;
+      agg = worseOf(report.status, agg);
+      if (agg != before || note.empty()) {
+        note = fn->name() + ": " + report.summary();
+      }
+    }
+    return std::make_pair(agg, note);
+  };
+  using Proof = std::pair<sym::ProofStatus, std::string>;
+  const auto tail = [&](Program& program, Proof& proof,
+                        perf::PerfEstimate& estimate) {
+    if (resolved.options.prove) {
+      checkCancelled();
+      StageTimer timer(*this, &Counters::proveNs);
+      proof = proveMatching(program);
+    }
+    if (!resolved.platform.empty()) {
+      // Estimation dominates cold latency, so it polls the scope before
+      // every work-group: both tails estimate at once, leaving no stage
+      // boundary between them. One host thread: the pool's width is the
+      // service's only concurrency setting, and a nested ThreadPool per
+      // estimate would oversubscribe it.
+      checkCancelled();
+      StageTimer timer(*this, &Counters::estimateNs);
+      apps::Instance instance = app->makeInstance(resolved.scale);
+      estimate = perf::estimate(*perf::findPlatform(resolved.platform),
+                                *program.kernel(resolved.kernelName),
+                                instance.range, instance.args,
+                                instance.benchSampleStride, 1,
+                                checkCancelled);
+    }
+  };
+  Proof origProof{sym::ProofStatus::Unchecked, ""};
+  Proof transProof{sym::ProofStatus::Unchecked, ""};
+  perf::PerfEstimate with;
+  perf::PerfEstimate without;
+  if (resolved.options.prove || !resolved.platform.empty()) {
+    forkJoin(
+        pool_, [&] { tail(original, origProof, with); },
+        [&] { tail(transformed, transProof, without); });
+  }
+
+  if (resolved.options.prove) {
+    const auto& [origStatus, origNote] = origProof;
+    const auto& [transStatus, transNote] = transProof;
     artifact->proofOriginal = origStatus;
     artifact->proofTransformed = transStatus;
     artifact->proofNote =
@@ -618,25 +687,7 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
       bump(&Counters::proofVetoes);
     }
   }
-
   if (!resolved.platform.empty()) {
-    // Estimation dominates cold latency (~hundreds of ms), so it gets a
-    // boundary check before each variant.
-    checkCancelled();
-    StageTimer timer(*this, &Counters::estimateNs);
-    const apps::Application& app = apps::applicationById(resolved.appId);
-    const perf::PlatformSpec spec = *perf::findPlatform(resolved.platform);
-    ir::Function* origKernel = original.kernel(resolved.kernelName);
-    ir::Function* transKernel = transformed.kernel(resolved.kernelName);
-    apps::Instance i1 = app.makeInstance(resolved.scale);
-    const perf::PerfEstimate with =
-        perf::estimate(spec, *origKernel, i1.range, i1.args,
-                       i1.benchSampleStride, config_.estimateThreads);
-    checkCancelled();
-    apps::Instance i2 = app.makeInstance(resolved.scale);
-    const perf::PerfEstimate without =
-        perf::estimate(spec, *transKernel, i2.range, i2.args,
-                       i2.benchSampleStride, config_.estimateThreads);
     artifact->hasEstimate = true;
     artifact->cyclesWithLM = with.cycles;
     artifact->cyclesWithoutLM = without.cycles;

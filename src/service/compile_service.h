@@ -2,7 +2,8 @@
 // (DESIGN.md §8): content-addressed artifact cache (memory LRU + optional
 // disk tier), single-flight deduplication of concurrent identical
 // requests, and an async submit API executing on support::ThreadPool with
-// a bounded in-flight queue and a drain/shutdown path.
+// a bounded in-flight queue and a drain/shutdown path. A cold compile forks
+// its two per-variant prove+estimate tails onto the same pool.
 #pragma once
 
 #include <chrono>
@@ -26,15 +27,14 @@
 namespace grover::service {
 
 struct ServiceConfig {
-  /// Worker threads compiling requests (0 = hardware concurrency).
+  /// Worker threads compiling requests (0 = hardware concurrency). The
+  /// service's only concurrency setting: a cold compile forks its two
+  /// per-variant prove+estimate tails onto this same pool, and each
+  /// estimate runs on one thread.
   unsigned workers = 0;
   /// Max requests being compiled or queued at once; submit() blocks
   /// (back-pressure) when the bound is reached.
   std::size_t maxQueue = 256;
-  /// Host threads inside one perf::estimate call. Estimates are
-  /// bit-identical for every value; 1 keeps concurrent requests from
-  /// oversubscribing the host.
-  unsigned estimateThreads = 1;
   ArtifactCache::Config cache;
   /// Decision store of the compileAuto() path; set diskDir to persist
   /// decisions across runs (groverc --policy-dir).
@@ -105,7 +105,9 @@ struct ServiceStats {
   /// Stale contradicted policy entries re-measured past the decay
   /// horizon (ServiceConfig::policyDecayHorizonMs).
   std::uint64_t staleRemeasures = 0;
-  // Cumulative per-stage wall time across all compiles, in milliseconds.
+  // Cumulative per-stage busy time across all compiles, in milliseconds.
+  // proveMs and estimateMs sum both variants' tails, which run
+  // concurrently, so one request's share of them can exceed its wall time.
   double frontendMs = 0;   // source → SSA (×2: original + transformed)
   double groverMs = 0;     // the Grover pass
   double validateMs = 0;   // post-transform IR verification
@@ -273,9 +275,13 @@ class CompileService {
     counters_.*field += delta;
   }
 
-  /// The full cold pipeline. `cancel` (may be null) is polled at stage
-  /// boundaries; on trigger the compile aborts by exception, caught by
-  /// the submit() worker.
+  /// The full cold pipeline. After the print stage it forks into the
+  /// original's and the transformed variant's prove+estimate tails; the
+  /// original's is a reclaimable side task on pool_, the transformed one
+  /// runs inline, and the call returns only after both finished.
+  /// `cancel` (may be null) is polled at stage boundaries, in each tail
+  /// too; on trigger the compile aborts by exception, caught by the
+  /// submit() worker.
   [[nodiscard]] ArtifactPtr compileUncached(const Request& resolved,
                                             const CancelScope* cancel);
   /// Deterministic measurement sampling of one eligible compileAuto()

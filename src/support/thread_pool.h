@@ -1,5 +1,7 @@
-// A minimal fixed-size thread pool used by the runtime's work-group
-// scheduler and by the benchmark harness (one task per work-group batch).
+// A minimal fixed-size thread pool. Its users: the interpreter's parallel
+// launches and the traced estimation driver (one task per work-group
+// batch), the compile service's request workers (which also run each cold
+// compile's forked per-variant tail), and the serving layer's workers.
 #pragma once
 
 #include <condition_variable>
