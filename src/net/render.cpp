@@ -69,8 +69,11 @@ std::string renderStats(const service::ServiceStats& s,
   os << "stages: frontend " << fixed(s.frontendMs, 1) << " ms, grover "
      << fixed(s.groverMs, 1) << " ms, validate " << fixed(s.validateMs, 1)
      << " ms, print " << fixed(s.printMs, 1) << " ms, estimate "
-     << fixed(s.estimateMs, 1) << " ms, execute " << fixed(s.executeMs, 1)
-     << " ms, cache " << fixed(s.cacheMs, 1) << " ms\n";
+     << fixed(s.estimateMs, 1) << " ms (trace "
+     << fixed(s.estimateTraceMs, 1) << " ms, digest "
+     << fixed(s.estimateDigestMs, 1) << " ms), execute "
+     << fixed(s.executeMs, 1) << " ms, cache " << fixed(s.cacheMs, 1)
+     << " ms\n";
   if (options.policy) {
     os << "policy: " << s.policyHits << " hits, " << s.policyMisses
        << " misses, " << s.policyStores << " decisions stored, "

@@ -22,21 +22,24 @@ PerfEstimate estimate(const PlatformSpec& platform, ir::Function& fn,
   const auto groups = launch.sampledGroups();
 
   PerfEstimate est;
+  TracedLaunchTimes times;
   if (platform.kind == PlatformKind::CpuCacheOnly) {
     CpuModel model(platform);
-    runTracedLaunch(model, launch.image(), groups, threads, checkpoint);
+    times = runTracedLaunch(model, launch.image(), groups, threads, checkpoint);
     est.cycles = model.totalCycles() * sampleStride;
     est.counters = model.counters();
     est.memoryCycles = model.memoryCycles();
     est.l1HitRate = model.l1HitRate();
   } else {
     GpuModel model(platform);
-    runTracedLaunch(model, launch.image(), groups, threads, checkpoint);
+    times = runTracedLaunch(model, launch.image(), groups, threads, checkpoint);
     est.cycles = model.totalCycles() * sampleStride;
     est.counters = model.counters();
     est.transactions = model.globalTransactions();
     est.spmCycles = model.spmCyclesTotal();
   }
+  est.traceMs = times.traceMs;
+  est.digestMs = times.digestMs;
   return est;
 }
 

@@ -23,6 +23,10 @@ struct PerfEstimate {
   double l1HitRate = 0;            // CPU models
   std::uint64_t transactions = 0;  // GPU models
   double spmCycles = 0;            // GPU models
+  // Host wall time of the estimate itself (perf/traced_driver.h phases);
+  // the only fields that differ between runs.
+  double traceMs = 0;   // phase A: trace generation
+  double digestMs = 0;  // phases B and C: model digest and merge
 };
 
 /// Execute `fn` over the NDRange (optionally sampling every Nth group) and

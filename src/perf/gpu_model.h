@@ -8,20 +8,20 @@
 // staged (local-memory) transpose fast and the direct strided one slow on
 // real GPUs.
 //
-// Two consumption modes over the same accumulators:
-//  - TraceSink (onAccess/onGroupFinish): the serial push interface.
+// Two consumption modes over the same accumulators and one digest:
+//  - TraceSink (onAccess/onGroupFinish): the serial push interface. It
+//    buffers the group's accesses into an rt::GroupTrace and digests that
+//    at onGroupFinish.
 //  - digestGroup/mergeGroup: the two-phase interface for the parallel
 //    estimator (perf/traced_driver.h). Warp formation, bank-conflict
 //    degrees, and coalesced segment lists depend only on one group's trace,
-//    so digestGroup is stateless (digestShards() == 0) and safe to run
-//    concurrently for any set of groups. Only mergeGroup touches shared
-//    state (the device read cache and the cycle accumulators) and must run
-//    serially in dense group order.
+//    so digestGroup is stateless (digestShards() == 0; its work arrays are
+//    per thread) and safe to run concurrently for any set of groups. Only
+//    mergeGroup touches shared state (the device read cache and the cycle
+//    accumulators) and must run serially in dense group order.
 #pragma once
 
-#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "perf/cache_sim.h"
@@ -55,6 +55,9 @@ class GpuModel final : public rt::TraceSink {
     (void)denseGroup;
     return 0;
   }
+  /// Linear in the trace: the accesses of one warp executing one dynamic
+  /// instance of a load/store (a "run") are found through dense counters,
+  /// not a search structure (DESIGN.md §7).
   [[nodiscard]] GroupDigest digestGroup(unsigned shard,
                                         const rt::GroupTrace& trace) const;
   /// Replay a digest's segments against the device cache and accumulate
@@ -71,31 +74,11 @@ class GpuModel final : public rt::TraceSink {
   [[nodiscard]] const rt::InstCounters& counters() const { return totals_; }
 
  private:
-  struct WarpAccess {
-    std::vector<std::uint64_t> addresses;
-    std::vector<std::uint32_t> sizes;
-    bool isLocal = false;
-    bool isWrite = false;
-  };
-  // One group's pending accesses, keyed by (warp, instSlot, occurrence):
-  // the work-items of one warp executing the same dynamic instruction.
-  using PendingMap =
-      std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
-               WarpAccess>;
-
-  void addPending(PendingMap& pending,
-                  std::unordered_map<std::uint64_t, std::uint32_t>& occurrence,
-                  const rt::MemAccess& access) const;
-  /// Shared-state-free part of flushGroup: SPM cycles + segment list.
-  [[nodiscard]] GroupDigest digestPending(const PendingMap& pending) const;
-
   PlatformSpec spec_;
   std::unique_ptr<CacheLevel> cache_;  // device-wide read cache
 
-  // Sink-mode state: the current group's pending accesses and per
-  // (work-item, instSlot) occurrence counters.
-  PendingMap pending_;
-  std::unordered_map<std::uint64_t, std::uint32_t> occurrence_;
+  // Sink-mode state: the current group's non-private accesses.
+  rt::GroupTrace pending_;
 
   double total_cycles_ = 0;
   double group_mem_cycles_ = 0;

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -32,9 +33,15 @@
 
 namespace grover::perf {
 
+/// Host wall time a traced launch spent per phase, checkpoints excluded.
+struct TracedLaunchTimes {
+  double traceMs = 0;   // phase A: executing groups into GroupTraces
+  double digestMs = 0;  // phases B and C: digest and merge
+};
+
 /// Execute `groups` (in dense order) of `image` and feed every group's
 /// trace through `model`'s digest/merge pipeline using `threads` workers.
-/// Returns the aggregate instruction counters of the executed groups.
+/// Returns the time spent in phase A and in phases B+C.
 ///
 /// `checkpoint` (optional) runs on the calling thread before each group
 /// (one thread) or each wave (several); an exception it throws abandons
@@ -44,12 +51,18 @@ namespace grover::perf {
 /// CPU-bound, so oversubscribing only adds timeslicing and cache-thrash
 /// cost, and the estimate is bit-identical for every thread count anyway.
 template <typename Model>
-rt::InstCounters runTracedLaunch(
+TracedLaunchTimes runTracedLaunch(
     Model& model, const rt::KernelImage& image,
     const std::vector<std::array<std::uint32_t, 3>>& groups,
     unsigned threads, const std::function<void()>& checkpoint = {}) {
   threads = std::min(threads,
                      std::max(1U, std::thread::hardware_concurrency()));
+  using Clock = std::chrono::steady_clock;
+  TracedLaunchTimes times;
+  const auto addMs = [](double& to, Clock::time_point from,
+                        Clock::time_point until) {
+    to += std::chrono::duration<double, std::milli>(until - from).count();
+  };
   if (threads <= 1) {
     // Inline pipeline: same digest/merge call sequence as the parallel
     // path, one group at a time.
@@ -58,11 +71,15 @@ rt::InstCounters runTracedLaunch(
     exec.setTrace(&trace);
     for (std::size_t dense = 0; dense < groups.size(); ++dense) {
       if (checkpoint) checkpoint();
+      const Clock::time_point start = Clock::now();
       exec.runGroup(groups[dense]);
+      const Clock::time_point traced = Clock::now();
       model.mergeGroup(model.digestGroup(
           model.shardOf(static_cast<std::uint32_t>(dense)), trace));
+      addMs(times.traceMs, start, traced);
+      addMs(times.digestMs, traced, Clock::now());
     }
-    return exec.totalCounters();
+    return times;
   }
 
   // The calling thread participates in every phase (it runs the same
@@ -89,6 +106,7 @@ rt::InstCounters runTracedLaunch(
     digests.resize(wave);
 
     // Phase A: execute the wave's groups into private trace buffers.
+    const Clock::time_point start = Clock::now();
     std::atomic<std::size_t> next{0};
     const auto executeLoop = [&](unsigned t) {
       rt::GroupExecutor& exec = *execs[t];
@@ -104,6 +122,7 @@ rt::InstCounters runTracedLaunch(
     }
     executeLoop(0);
     pool.waitIdle();
+    const Clock::time_point traced = Clock::now();
 
     // Phase B: digest. Sharded models need each shard's groups digested in
     // dense order on one task (private cache state); stateless models
@@ -153,13 +172,12 @@ rt::InstCounters runTracedLaunch(
       model.mergeGroup(digests[i]);
       bytes += traces[i].byteSize();
     }
+    addMs(times.traceMs, start, traced);
+    addMs(times.digestMs, traced, Clock::now());
     avgBytes = bytes / wave;
     done += wave;
   }
-
-  rt::InstCounters total;
-  for (const auto& e : execs) total += e->totalCounters();
-  return total;
+  return times;
 }
 
 }  // namespace grover::perf

@@ -649,13 +649,21 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
       // service's only concurrency setting, and a nested ThreadPool per
       // estimate would oversubscribe it.
       checkCancelled();
-      StageTimer timer(*this, &Counters::estimateNs);
-      apps::Instance instance = app->makeInstance(resolved.scale);
-      estimate = perf::estimate(*perf::findPlatform(resolved.platform),
-                                *program.kernel(resolved.kernelName),
-                                instance.range, instance.args,
-                                instance.benchSampleStride, 1,
-                                checkCancelled);
+      {
+        StageTimer timer(*this, &Counters::estimateNs);
+        apps::Instance instance = app->makeInstance(resolved.scale);
+        estimate = perf::estimate(*perf::findPlatform(resolved.platform),
+                                  *program.kernel(resolved.kernelName),
+                                  instance.range, instance.args,
+                                  instance.benchSampleStride, 1,
+                                  checkCancelled);
+      }
+      // Truncated to whole nanoseconds, so the phases never sum past the
+      // stage timer that encloses them.
+      bump(&Counters::estimateTraceNs,
+           static_cast<std::uint64_t>(estimate.traceMs * 1e6));
+      bump(&Counters::estimateDigestNs,
+           static_cast<std::uint64_t>(estimate.digestMs * 1e6));
     }
   };
   Proof origProof{sym::ProofStatus::Unchecked, ""};
@@ -748,6 +756,8 @@ ServiceStats CompileService::stats() const {
   s.validateMs = ms(snap.validateNs);
   s.printMs = ms(snap.printNs);
   s.estimateMs = ms(snap.estimateNs);
+  s.estimateTraceMs = ms(snap.estimateTraceNs);
+  s.estimateDigestMs = ms(snap.estimateDigestNs);
   s.executeMs = ms(snap.executeNs);
   s.cacheMs = ms(snap.cacheNs);
   s.proveMs = ms(snap.proveNs);

@@ -113,6 +113,10 @@ struct ServiceStats {
   double validateMs = 0;   // post-transform IR verification
   double printMs = 0;      // IR rendering of both versions
   double estimateMs = 0;   // trace-driven with/without-LM estimation
+  // Of estimateMs: phase A (running the kernel into traces) and phases
+  // B+C (platform-model digest and merge), summed over both tails.
+  double estimateTraceMs = 0;
+  double estimateDigestMs = 0;
   double executeMs = 0;    // sampled real executions (both variants)
   double cacheMs = 0;      // artifact-cache probes/stores, memory + disk
   double proveMs = 0;      // symbolic prover runs (original + transformed)
@@ -241,8 +245,8 @@ class CompileService {
         proofsUnknown = 0, proofVetoes = 0, staleRemeasures = 0;
     // Cumulative per-stage wall time, nanoseconds.
     std::uint64_t frontendNs = 0, groverNs = 0, validateNs = 0,
-        printNs = 0, estimateNs = 0, executeNs = 0, cacheNs = 0,
-        proveNs = 0;
+        printNs = 0, estimateNs = 0, estimateTraceNs = 0,
+        estimateDigestNs = 0, executeNs = 0, cacheNs = 0, proveNs = 0;
   };
 
   /// RAII stage clock: adds the elapsed nanoseconds to one Counters

@@ -321,5 +321,19 @@ TEST(ServiceEstimates, BitIdenticalToUncachedHarness) {
   EXPECT_EQ(warm.get(), served.get());
 }
 
+TEST(ServiceEstimates, EstimateTimeSplitsIntoTraceAndDigest) {
+  Request req;
+  req.appId = "NVD-MM-A";
+  req.platform = "Fermi";
+  req.scale = apps::Scale::Test;
+
+  CompileService service(ServiceConfig{});
+  ASSERT_TRUE(service.run(req)->hasEstimate);
+  const ServiceStats s = service.stats();
+  EXPECT_GT(s.estimateTraceMs, 0.0);
+  EXPECT_GT(s.estimateDigestMs, 0.0);
+  EXPECT_LE(s.estimateTraceMs + s.estimateDigestMs, s.estimateMs);
+}
+
 }  // namespace
 }  // namespace grover::service
