@@ -1,7 +1,8 @@
 // CPU and GPU timing models: coalescing counts, SPM bank conflicts,
 // platform-observable behaviors that drive the paper's results. The GPU
 // digest is also pinned exactly: against recorded Table I estimates and,
-// on random traces, against the map-based coalescer it replaced.
+// on random traces, against the map-based coalescer it replaced. The
+// cache-only models are pinned against recorded Table I estimates too.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -432,6 +433,108 @@ TEST(GpuModel, EstimatesArePinned) {
     }
   }
   EXPECT_EQ(checked, std::size(kPinnedEstimates));
+}
+
+/// Cache-only estimates of the Table I apps at Test scale, recorded with
+/// eagerly built per-thread caches. Exact: cycles and memory cycles as
+/// hexfloat, and the L1 hit rate.
+struct PinnedCpuEstimate {
+  const char* app;
+  const char* platform;
+  bool transformed;
+  double cycles;
+  double memoryCycles;
+  double l1HitRate;
+};
+const PinnedCpuEstimate kPinnedCpuEstimates[] = {
+    {"AMD-SS", "SNB", false, 0x1.9d9e33333317ap+16, 0x1.7837666666915p+18, 0x1.fdba24c90fc1bp-1},
+    {"AMD-SS", "SNB", true, 0x1.71016666664b6p+16, 0x1.71c433333359fp+18, 0x1.fdc0dde0fb12dp-1},
+    {"AMD-SS", "Nehalem", false, 0x1.d6dea66665f78p+17, 0x1.c4718000008e4p+18, 0x1.fdc97b1e03f44p-1},
+    {"AMD-SS", "Nehalem", true, 0x1.a4dfd99999248p+17, 0x1.bda980000089dp+18, 0x1.fdc8a6e54c933p-1},
+    {"AMD-SS", "MIC", false, 0x1.51cd333333333p+17, 0x1.3de24p+18, 0x1.fd66bf5b1feecp-1},
+    {"AMD-SS", "MIC", true, 0x1.48e00ccccccccp+17, 0x1.30e32p+18, 0x1.fd960c493ad0ap-1},
+    {"AMD-MT", "SNB", false, 0x1.1ad19999999e2p+15, 0x1.63333333333c1p+18, 0x1.ap-1},
+    {"AMD-MT", "SNB", true, 0x1.4dd6666666643p+14, 0x1.ccccccccccc84p+17, 0x1.8p-1},
+    {"AMD-MT", "Nehalem", false, 0x1.4a60000000093p+16, 0x1.a6ccccccccde1p+18, 0x1.bp-1},
+    {"AMD-MT", "Nehalem", true, 0x1.bc0cccccccd43p+15, 0x1.44ccccccccce8p+18, 0x1.8p-1},
+    {"AMD-MT", "MIC", false, 0x1.a61999999999ap+16, 0x1.104p+19, 0x1.ap-1},
+    {"AMD-MT", "MIC", true, 0x1.5c2p+16, 0x1.67p+18, 0x1.8p-1},
+    {"NVD-MT", "SNB", false, 0x1.9d0999999996ap+14, 0x1.d6666666665a4p+16, 0x1.e8p-1},
+    {"NVD-MT", "SNB", true, 0x1.6eep+13, 0x1.2000000000001p+16, 0x1.ep-1},
+    {"NVD-MT", "Nehalem", false, 0x1.d9c0000000134p+15, 0x1.16999999998bdp+17, 0x1.ecp-1},
+    {"NVD-MT", "Nehalem", true, 0x1.c419999999951p+14, 0x1.87fffffffff74p+16, 0x1.ep-1},
+    {"NVD-MT", "MIC", false, 0x1.508199999999ap+16, 0x1.344p+17, 0x1.e8p-1},
+    {"NVD-MT", "MIC", true, 0x1.1d76666666666p+16, 0x1.8bp+16, 0x1.ep-1},
+    {"AMD-RG", "SNB", false, 0x1.042cccccccd23p+15, 0x1.a66666666660bp+16, 0x1.dep-1},
+    {"AMD-RG", "SNB", true, 0x1.368ccccccccccp+14, 0x1.3f3333333332p+16, 0x1.cp-1},
+    {"AMD-RG", "Nehalem", false, 0x1.29c33333333d3p+16, 0x1.06266666665cp+17, 0x1.e7p-1},
+    {"AMD-RG", "Nehalem", true, 0x1.6a00000000032p+15, 0x1.9fccccccccc68p+16, 0x1.dp-1},
+    {"AMD-RG", "MIC", false, 0x1.0846333333333p+17, 0x1.dbfd4p+17, 0x1.d888p-1},
+    {"AMD-RG", "MIC", true, 0x1.f9bccccccccccp+16, 0x1.73p+17, 0x1.cp-1},
+    {"AMD-MM", "SNB", false, 0x1.f22a333332ff8p+18, 0x1.6eaccccccc3a1p+19, 0x1.fdaa0b3630958p-1},
+    {"AMD-MM", "SNB", true, 0x1.8036ffffffd73p+18, 0x1.54dfffffff9bdp+19, 0x1.fdc47711dc477p-1},
+    {"AMD-MM", "Nehalem", false, 0x1.18a3999999bf8p+19, 0x1.b64999999abe8p+19, 0x1.fdaa0b3630958p-1},
+    {"AMD-MM", "Nehalem", true, 0x1.b110cccccd17fp+18, 0x1.9670000001134p+19, 0x1.fdc47711dc477p-1},
+    {"AMD-MM", "MIC", false, 0x1.2156cccccccccp+19, 0x1.39fp+19, 0x1.fdaa0b3630958p-1},
+    {"AMD-MM", "MIC", true, 0x1.dff7999999999p+18, 0x1.2318p+19, 0x1.fdc47711dc477p-1},
+    {"NVD-MM-A", "SNB", false, 0x1.e51d666666205p+18, 0x1.8879999998c2p+19, 0x1.fd9289b5d928ap-1},
+    {"NVD-MM-A", "SNB", true, 0x1.d56a333332ff8p+18, 0x1.6eaccccccc3a1p+19, 0x1.fdaa0b3630958p-1},
+    {"NVD-MM-A", "Nehalem", false, 0x1.11e53333335d4p+19, 0x1.d62333333476ep+19, 0x1.fd9289b5d928ap-1},
+    {"NVD-MM-A", "Nehalem", true, 0x1.08d3999999bf8p+19, 0x1.b64999999abe8p+19, 0x1.fdaa0b3630958p-1},
+    {"NVD-MM-A", "MIC", false, 0x1.187e99999999ap+19, 0x1.50c8p+19, 0x1.fd9289b5d928ap-1},
+    {"NVD-MM-A", "MIC", true, 0x1.1016cccccccccp+19, 0x1.39fp+19, 0x1.fdaa0b3630958p-1},
+    {"NVD-MM-B", "SNB", false, 0x1.e51d666666205p+18, 0x1.8879999998c2p+19, 0x1.fd9289b5d928ap-1},
+    {"NVD-MM-B", "SNB", true, 0x1.d46a333332fep+18, 0x1.6eaccccccc38ep+19, 0x1.fdaa0b3630958p-1},
+    {"NVD-MM-B", "Nehalem", false, 0x1.11e53333335d4p+19, 0x1.d62333333476ep+19, 0x1.fd9289b5d928ap-1},
+    {"NVD-MM-B", "Nehalem", true, 0x1.0846ccccccf27p+19, 0x1.b64999999abe6p+19, 0x1.fdaa0b3630958p-1},
+    {"NVD-MM-B", "MIC", false, 0x1.187e99999999ap+19, 0x1.50c8p+19, 0x1.fd9289b5d928ap-1},
+    {"NVD-MM-B", "MIC", true, 0x1.0f7d333333333p+19, 0x1.39fp+19, 0x1.fdaa0b3630958p-1},
+    {"NVD-MM-AB", "SNB", false, 0x1.e51d666666205p+18, 0x1.8879999998c2p+19, 0x1.fd9289b5d928ap-1},
+    {"NVD-MM-AB", "SNB", true, 0x1.73b6ffffffd73p+18, 0x1.54dfffffff9bdp+19, 0x1.fdc47711dc477p-1},
+    {"NVD-MM-AB", "Nehalem", false, 0x1.11e53333335d4p+19, 0x1.d62333333476ep+19, 0x1.fd9289b5d928ap-1},
+    {"NVD-MM-AB", "Nehalem", true, 0x1.a350cccccd17fp+18, 0x1.9670000001134p+19, 0x1.fdc47711dc477p-1},
+    {"NVD-MM-AB", "MIC", false, 0x1.187e99999999ap+19, 0x1.50c8p+19, 0x1.fd9289b5d928ap-1},
+    {"NVD-MM-AB", "MIC", true, 0x1.d0f7999999999p+18, 0x1.2318p+19, 0x1.fdc47711dc477p-1},
+    {"NVD-NBody", "SNB", false, 0x1.8181e666666f2p+19, 0x1.6ca6666666e65p+17, 0x1.fd1cdf4737d1dp-1},
+    {"NVD-NBody", "SNB", true, 0x1.7d25199999a2cp+19, 0x1.55d999999a148p+17, 0x1.fd84f613d84f6p-1},
+    {"NVD-NBody", "Nehalem", false, 0x1.ab73999999a4p+19, 0x1.b606666666e57p+17, 0x1.fd1cdf4737d1dp-1},
+    {"NVD-NBody", "Nehalem", true, 0x1.a616ccccccd77p+19, 0x1.97eccccccd41fp+17, 0x1.fd84f613d84f6p-1},
+    {"NVD-NBody", "MIC", false, 0x1.dd3f999999999p+19, 0x1.49ap+17, 0x1.fd1cdf4737d1dp-1},
+    {"NVD-NBody", "MIC", true, 0x1.dc7e333333333p+19, 0x1.2dfp+17, 0x1.fd84f613d84f6p-1},
+    {"PAB-ST", "SNB", false, 0x1.52f1999999944p+15, 0x1.6838666666528p+17, 0x1.eb0f0f0f0f0f1p-1},
+    {"PAB-ST", "SNB", true, 0x1.c23cccccccc73p+14, 0x1.e5d733333326fp+16, 0x1.e955555555555p-1},
+    {"PAB-ST", "Nehalem", false, 0x1.85446666667bep+16, 0x1.a874ffffffdb7p+17, 0x1.ed87878787878p-1},
+    {"PAB-ST", "Nehalem", true, 0x1.0bea00000010cp+16, 0x1.3ed833333321p+17, 0x1.e955555555555p-1},
+    {"PAB-ST", "MIC", false, 0x1.a13e4cccccccdp+16, 0x1.2446p+18, 0x1.eb0f0f0f0f0f1p-1},
+    {"PAB-ST", "MIC", true, 0x1.6e8f99999999ap+16, 0x1.b8bp+17, 0x1.e955555555555p-1},
+    {"ROD-SC", "SNB", false, 0x1.33ab333333384p+15, 0x1.127b333333382p+18, 0x1.f03d226357e17p-2},
+    {"ROD-SC", "SNB", true, 0x1.4a4b3333333bfp+15, 0x1.5a080000000fep+18, 0x1.f07c1f07c1f08p-8},
+    {"ROD-SC", "Nehalem", false, 0x1.62db333333334p+16, 0x1.5104666666666p+18, 0x1.f07a44c6afc2ep-2},
+    {"ROD-SC", "Nehalem", true, 0x1.78873333331e6p+16, 0x1.9a62ccccccb07p+18, 0x1.f07c1f07c1f08p-8},
+    {"ROD-SC", "MIC", false, 0x1.94684cccccccdp+16, 0x1.55c8p+18, 0x1.f03d226357e17p-2},
+    {"ROD-SC", "MIC", true, 0x1.9f8accccccccdp+16, 0x1.9052p+18, 0x1.f07c1f07c1f08p-8},
+};
+
+TEST(CpuModel, EstimatesArePinned) {
+  std::size_t checked = 0;
+  for (const auto& app : apps::allApplications()) {
+    KernelPair pair = prepareKernelPair(*app);
+    for (const PinnedCpuEstimate& pin : kPinnedCpuEstimates) {
+      if (app->id() != pin.app) continue;
+      apps::Instance instance = app->makeInstance(apps::Scale::Test);
+      const PerfEstimate est = estimate(
+          *findPlatform(pin.platform),
+          pin.transformed ? *pair.transformedKernel : *pair.originalKernel,
+          instance.range, instance.args, instance.benchSampleStride, 1);
+      const std::string what = std::string(pin.app) + " on " + pin.platform +
+                               (pin.transformed ? " transformed" : " original");
+      EXPECT_EQ(est.cycles, pin.cycles) << what;
+      EXPECT_EQ(est.memoryCycles, pin.memoryCycles) << what;
+      EXPECT_EQ(est.l1HitRate, pin.l1HitRate) << what;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kPinnedCpuEstimates));
 }
 
 TEST(CpuModel, LocalArenaIsReusedPerThread) {
