@@ -5,19 +5,24 @@
 // pushing every event through the virtual TraceSink interface straight
 // into the platform model. Against it: the pre-decoded GroupExecutor with
 // buffered GroupTraces and the two-phase digest/merge driver
-// (perf/traced_driver.h), swept over 1/2/4/8 host threads. Both a
-// cache-only CPU model (SNB) and a GPU model (Fermi) are swept.
+// (perf/traced_driver.h), swept over 1/2/4/8 participants: the calling
+// thread plus a pool of participants - 1 helpers, started once per count
+// outside the timed repetitions, as a long-lived caller such as the
+// compile service lends its pool. Both a cache-only CPU model (SNB) and a
+// GPU model (Fermi) are swept.
 //
-// Then perf::estimate on one thread (the compilation service's setting)
-// splits each estimate into phase A (trace generation) and phases B+C
-// (model digest and merge), reported per traced group.
+// Then a one-participant perf::estimate splits each estimate into phase
+// A (trace generation) and phases B+C (model digest and merge), reported
+// per traced group.
 //
 // Reports groups/second per configuration and the speedup over the seed
 // path, and exits non-zero when any configuration's estimate differs from
-// the seed path's. Results land in BENCH_parallel_estimation.json.
+// the seed path's or from its own earlier repetitions. Results land in
+// BENCH_parallel_estimation.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <thread>
 
@@ -117,16 +122,18 @@ void sweep(const std::string& id, const perf::PlatformSpec& platform,
 
   bool firstThread = true;
   for (unsigned t : threadCounts) {
+    std::unique_ptr<ThreadPool> helpers;
+    if (t > 1) helpers = std::make_unique<ThreadPool>(t - 1);
     const Measurement m = measure(groups.size(), reps, [&] {
       return modelCycles<Model>(platform, [&](Model& model) {
-        perf::runTracedLaunch(model, image, groups, t);
+        perf::runTracedLaunch(model, image, groups, helpers.get());
       });
     });
     fatalIfDiverges(id + " on " + platform.name + " threads=" +
                         std::to_string(t),
                     m.cycles, seed.cycles);
     const double speedup = m.groupsPerSec / seed.groupsPerSec;
-    std::cout << "  decoded threads=" << t << "  "
+    std::cout << "  decoded participants=" << t << "  "
               << fixed(m.groupsPerSec, 1) << " groups/s  ("
               << fixed(speedup, 2) << "x seed)\n";
     if (!firstThread) json << ", ";

@@ -42,17 +42,22 @@ CpuModel::CpuModel(const PlatformSpec& spec) : spec_(spec) {
     shared_llc_ = std::make_unique<CacheLevel>(spec_.sharedLLC);
   }
   threads_.resize(spec_.hwThreads);
-  for (Thread& t : threads_) {
-    t.caches = std::make_unique<CacheHierarchy>(
+}
+
+CacheHierarchy& CpuModel::cachesOf(unsigned tid) {
+  std::unique_ptr<CacheHierarchy>& caches = threads_[tid].caches;
+  if (caches == nullptr) {
+    caches = std::make_unique<CacheHierarchy>(
         spec_.privateLevels, shared_llc_.get(), spec_.memCycles);
   }
+  return *caches;
 }
 
 void CpuModel::onAccess(const rt::MemAccess& access) {
   const unsigned tid = threadOf(access.group);
   Thread& thread = threads_[tid];
   const double latency =
-      thread.caches->access(remapAddress(tid, access), access.size);
+      cachesOf(tid).access(remapAddress(tid, access), access.size);
   const double exposed = latency * spec_.memOverlap;
   thread.cycles += exposed;
   thread.memCycles += exposed;
@@ -78,7 +83,7 @@ CpuModel::GroupDigest CpuModel::digestGroup(unsigned shard,
   digest.tid = shard;
   digest.counters = trace.counters;
   digest.accesses.reserve(trace.accesses.size());
-  CacheHierarchy& caches = *threads_[shard].caches;
+  CacheHierarchy& caches = cachesOf(shard);
   for (const rt::MemAccess& access : trace.accesses) {
     GroupDigest::Access rec;
     const std::size_t before = digest.deferredLines.size();
@@ -135,6 +140,7 @@ double CpuModel::l1HitRate() const {
   std::uint64_t hits = 0;
   std::uint64_t total = 0;
   for (const Thread& t : threads_) {
+    if (t.caches == nullptr) continue;  // never ran a group
     const auto& levels = t.caches->levels();
     if (levels.empty()) continue;
     hits += levels.front().hits();

@@ -77,7 +77,7 @@ class CpuModel final : public rt::TraceSink {
 
  private:
   struct Thread {
-    std::unique_ptr<CacheHierarchy> caches;
+    std::unique_ptr<CacheHierarchy> caches;  // built by cachesOf()
     double cycles = 0;
     double memCycles = 0;
   };
@@ -86,6 +86,11 @@ class CpuModel final : public rt::TraceSink {
   /// thread assignment, so group *sampling* (every Nth group) still spreads
   /// work over all modeled threads.
   [[nodiscard]] unsigned threadOf(std::uint32_t group);
+
+  /// Thread `tid`'s private caches, built on its first access: a launch
+  /// of a few groups touches a few of MIC's 60 threads. Digests of one
+  /// shard are serialized, so the build never races.
+  [[nodiscard]] CacheHierarchy& cachesOf(unsigned tid);
 
   /// Local/private windows remap into per-thread flat address ranges.
   [[nodiscard]] std::uint64_t remapAddress(unsigned tid,

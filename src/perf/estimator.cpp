@@ -9,30 +9,29 @@
 
 namespace grover::perf {
 
-PerfEstimate estimate(const PlatformSpec& platform, ir::Function& fn,
-                      const rt::NDRange& range,
-                      std::vector<rt::KernelArg> args,
-                      std::uint32_t sampleStride, unsigned threads,
-                      const std::function<void()>& checkpoint) {
+namespace {
+
+PerfEstimate estimateOn(const PlatformSpec& platform, ir::Function& fn,
+                        const rt::NDRange& range,
+                        std::vector<rt::KernelArg> args,
+                        std::uint32_t sampleStride, ThreadPool* helpers,
+                        const std::function<void()>& checkpoint) {
   rt::Launch launch(fn, range, std::move(args));
   if (sampleStride > 1) launch.setGroupSampling(sampleStride);
-  if (threads == 0) {
-    threads = std::max(1U, std::thread::hardware_concurrency());
-  }
   const auto groups = launch.sampledGroups();
 
   PerfEstimate est;
   TracedLaunchTimes times;
   if (platform.kind == PlatformKind::CpuCacheOnly) {
     CpuModel model(platform);
-    times = runTracedLaunch(model, launch.image(), groups, threads, checkpoint);
+    times = runTracedLaunch(model, launch.image(), groups, helpers, checkpoint);
     est.cycles = model.totalCycles() * sampleStride;
     est.counters = model.counters();
     est.memoryCycles = model.memoryCycles();
     est.l1HitRate = model.l1HitRate();
   } else {
     GpuModel model(platform);
-    times = runTracedLaunch(model, launch.image(), groups, threads, checkpoint);
+    times = runTracedLaunch(model, launch.image(), groups, helpers, checkpoint);
     est.cycles = model.totalCycles() * sampleStride;
     est.counters = model.counters();
     est.transactions = model.globalTransactions();
@@ -41,6 +40,33 @@ PerfEstimate estimate(const PlatformSpec& platform, ir::Function& fn,
   est.traceMs = times.traceMs;
   est.digestMs = times.digestMs;
   return est;
+}
+
+}  // namespace
+
+PerfEstimate estimate(const PlatformSpec& platform, ir::Function& fn,
+                      const rt::NDRange& range,
+                      std::vector<rt::KernelArg> args,
+                      std::uint32_t sampleStride, ThreadPool& pool,
+                      const std::function<void()>& checkpoint) {
+  return estimateOn(platform, fn, range, std::move(args), sampleStride, &pool,
+                    checkpoint);
+}
+
+PerfEstimate estimate(const PlatformSpec& platform, ir::Function& fn,
+                      const rt::NDRange& range,
+                      std::vector<rt::KernelArg> args,
+                      std::uint32_t sampleStride, unsigned threads,
+                      const std::function<void()>& checkpoint) {
+  const unsigned cores = std::max(1U, std::thread::hardware_concurrency());
+  threads = threads == 0 ? cores : std::min(threads, cores);
+  if (threads <= 1) {
+    return estimateOn(platform, fn, range, std::move(args), sampleStride,
+                      nullptr, checkpoint);
+  }
+  ThreadPool pool(threads - 1);
+  return estimateOn(platform, fn, range, std::move(args), sampleStride, &pool,
+                    checkpoint);
 }
 
 double normalizedPerformance(double cyclesWithLM, double cyclesWithoutLM) {

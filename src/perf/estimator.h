@@ -12,6 +12,7 @@
 #include "ir/function.h"
 #include "perf/platform.h"
 #include "rt/interpreter.h"
+#include "support/thread_pool.h"
 
 namespace grover::perf {
 
@@ -31,12 +32,21 @@ struct PerfEstimate {
 
 /// Execute `fn` over the NDRange (optionally sampling every Nth group) and
 /// estimate its run time on `platform`. Sampling scales the result back up.
-/// `threads` sets how many host threads execute and digest the trace
-/// (0 = hardware_concurrency); the estimate is bit-identical for every
-/// thread count — see perf/traced_driver.h for the guarantee.
-/// `checkpoint` (optional) is called between work-groups (or waves of
-/// them); an exception it throws abandons the estimate, which is how a
-/// caller cancels one mid-run.
+/// The calling thread executes and digests the trace; up to pool.size()
+/// workers of `pool` may join it while they are idle (the pool is borrowed,
+/// never waited idle). The estimate is bit-identical for every number of
+/// participants — see perf/traced_driver.h for the guarantee.
+/// `checkpoint` (optional) is called on the calling thread before each
+/// work-group it runs; an exception it throws abandons the estimate, which
+/// is how a caller cancels one mid-run.
+[[nodiscard]] PerfEstimate estimate(
+    const PlatformSpec& platform, ir::Function& fn, const rt::NDRange& range,
+    std::vector<rt::KernelArg> args, std::uint32_t sampleStride,
+    ThreadPool& pool, const std::function<void()>& checkpoint = {});
+
+/// As above with `threads` participants (0 = hardware_concurrency, capped
+/// at it): more than one starts a pool of threads - 1 workers for this
+/// call. Long-lived callers lend their own pool instead.
 [[nodiscard]] PerfEstimate estimate(
     const PlatformSpec& platform, ir::Function& fn, const rt::NDRange& range,
     std::vector<rt::KernelArg> args, std::uint32_t sampleStride = 1,

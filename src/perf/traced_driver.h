@@ -1,12 +1,18 @@
-// Parallel trace-driven estimation driver.
+// Streaming trace-driven estimation driver.
 //
-// Executes a launch's work-groups in bounded waves across a ThreadPool,
-// buffering each group's trace (rt::GroupTrace), then runs the model's
-// two-phase digest/merge pipeline:
+// Executes a launch's work-groups and feeds every group's trace
+// (rt::GroupTrace) through the model's two-phase digest/merge pipeline:
 //
-//   phase A  execute    any thread, any order   -> per-group GroupTrace
-//   phase B  digest     per-shard, dense order  -> per-group GroupDigest
-//   phase C  merge      serial, dense order     -> cycles
+//   phase A  execute    any participant, any order -> per-group GroupTrace
+//   phase B  digest     per-shard, dense order     -> per-group GroupDigest
+//   phase C  merge      serial, dense order        -> cycles
+//
+// One loop serves every participant count. The calling thread always
+// participates; a borrowed ThreadPool may lend helpers. Each participant
+// owns one GroupExecutor and one GroupTrace and repeatedly claims the next
+// dense group from an atomic counter, executes it, waits for its shard's
+// turn, digests it and parks the digest in a pending slot. Whoever holds
+// the merge token merges the ready dense prefix and frees each digest.
 //
 // A model shards its private simulation state (Model::digestShards(); 0
 // means digests are stateless and may run anywhere) and keeps everything
@@ -14,17 +20,20 @@
 // each shard sees its groups in dense order and the merge runs serially in
 // dense order, the model state transitions and every floating-point
 // accumulation happen in exactly the sequence of a serial run: estimates
-// are bit-identical for every thread count.
+// are bit-identical for every participant count (DESIGN.md §7).
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
+#include <limits>
 #include <memory>
-#include <thread>
+#include <mutex>
 #include <vector>
 
 #include "rt/interpreter.h"
@@ -33,149 +42,190 @@
 
 namespace grover::perf {
 
-/// Host wall time a traced launch spent per phase, checkpoints excluded.
+/// Host wall time a traced launch spent per phase. The launch's wall time
+/// is apportioned between the phases in proportion to their summed busy
+/// time over all participants, so the two never sum past the wall time.
 struct TracedLaunchTimes {
   double traceMs = 0;   // phase A: executing groups into GroupTraces
   double digestMs = 0;  // phases B and C: digest and merge
 };
 
 /// Execute `groups` (in dense order) of `image` and feed every group's
-/// trace through `model`'s digest/merge pipeline using `threads` workers.
-/// Returns the time spent in phase A and in phases B+C.
+/// trace through `model`'s digest/merge pipeline. The calling thread runs
+/// the loop; when `helpers` is non-null, up to helpers->size() of its
+/// workers may join. Helpers are offered as claimable tasks: one that
+/// starts after the launch finished does nothing, and the call returns
+/// once every helper that did start has left. So a saturated pool simply
+/// leaves the caller to run the launch alone, and the pool is never
+/// waited idle.
 ///
-/// `checkpoint` (optional) runs on the calling thread before each group
-/// (one thread) or each wave (several); an exception it throws abandons
-/// the launch and propagates to the caller.
-///
-/// The worker count is capped at the hardware concurrency: the pipeline is
-/// CPU-bound, so oversubscribing only adds timeslicing and cache-thrash
-/// cost, and the estimate is bit-identical for every thread count anyway.
+/// `checkpoint` (optional) runs on the calling thread before each group it
+/// claims. An exception it throws — or one that runGroup, a digest or a
+/// merge throws on any participant — abandons the launch and propagates
+/// to the caller after every started helper has left.
 template <typename Model>
 TracedLaunchTimes runTracedLaunch(
     Model& model, const rt::KernelImage& image,
     const std::vector<std::array<std::uint32_t, 3>>& groups,
-    unsigned threads, const std::function<void()>& checkpoint = {}) {
-  threads = std::min(threads,
-                     std::max(1U, std::thread::hardware_concurrency()));
+    ThreadPool* helpers, const std::function<void()>& checkpoint = {}) {
   using Clock = std::chrono::steady_clock;
-  TracedLaunchTimes times;
-  const auto addMs = [](double& to, Clock::time_point from,
-                        Clock::time_point until) {
-    to += std::chrono::duration<double, std::milli>(until - from).count();
-  };
-  if (threads <= 1) {
-    // Inline pipeline: same digest/merge call sequence as the parallel
-    // path, one group at a time.
-    rt::GroupExecutor exec(image);
-    rt::GroupTrace trace;
-    exec.setTrace(&trace);
-    for (std::size_t dense = 0; dense < groups.size(); ++dense) {
-      if (checkpoint) checkpoint();
-      const Clock::time_point start = Clock::now();
-      exec.runGroup(groups[dense]);
-      const Clock::time_point traced = Clock::now();
-      model.mergeGroup(model.digestGroup(
-          model.shardOf(static_cast<std::uint32_t>(dense)), trace));
-      addMs(times.traceMs, start, traced);
-      addMs(times.digestMs, traced, Clock::now());
-    }
-    return times;
-  }
-
-  // The calling thread participates in every phase (it runs the same
-  // work-stealing loops as the workers), so the pool only needs threads-1
-  // workers and the caller never sleeps in waitIdle while work remains.
-  std::vector<std::unique_ptr<rt::GroupExecutor>> execs;
-  execs.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    execs.push_back(std::make_unique<rt::GroupExecutor>(image));
-  }
-  ThreadPool pool(threads - 1);
-  const unsigned shards = model.digestShards();
   using Digest = typename Model::GroupDigest;
-  std::vector<rt::GroupTrace> traces;
-  std::vector<Digest> digests;
-  std::size_t done = 0;
-  std::size_t avgBytes = 0;
-  while (done < groups.size()) {
-    if (checkpoint) checkpoint();  // no task is in flight here
-    const std::size_t wave =
-        rt::nextTraceWave(groups.size() - done, threads, avgBytes);
-    if (traces.size() < wave) traces.resize(wave);
-    digests.clear();
-    digests.resize(wave);
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  const std::size_t n = groups.size();
+  const Clock::time_point launchStart = Clock::now();
 
-    // Phase A: execute the wave's groups into private trace buffers.
-    const Clock::time_point start = Clock::now();
-    std::atomic<std::size_t> next{0};
-    const auto executeLoop = [&](unsigned t) {
-      rt::GroupExecutor& exec = *execs[t];
+  // Per-shard turn: the dense group whose digest the shard expects next,
+  // and each group's successor within its shard.
+  const unsigned shards = model.digestShards();
+  std::vector<std::size_t> shardNext(shards, kNone);
+  std::vector<std::size_t> successor(shards > 0 ? n : 0, kNone);
+  for (std::size_t g = n; g-- > 0 && shards > 0;) {
+    const unsigned s = model.shardOf(static_cast<std::uint32_t>(g));
+    successor[g] = shardNext[s];
+    shardNext[s] = g;
+  }
+
+  // Launch state, guarded by `mutex` except for the claim counter.
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;
+  std::condition_variable turnChanged;
+  std::vector<std::unique_ptr<Digest>> pending(n);
+  std::size_t mergeCursor = 0;
+  bool merging = false;
+  bool aborted = false;
+  std::exception_ptr error;
+  Clock::duration traceBusy{};
+  Clock::duration digestBusy{};
+
+  const auto fail = [&](std::exception_ptr e) {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (!aborted) error = std::move(e);
+    aborted = true;
+    turnChanged.notify_all();
+  };
+
+  // Merge the ready dense prefix unless another participant already holds
+  // the merge token; the holder re-checks under the lock before releasing
+  // it, so no posted digest is ever stranded.
+  const auto mergeReady = [&](std::unique_lock<std::mutex>& lock) {
+    if (merging) return;
+    merging = true;
+    while (!aborted && mergeCursor < n && pending[mergeCursor]) {
+      const std::unique_ptr<Digest> digest = std::move(pending[mergeCursor]);
+      ++mergeCursor;
+      lock.unlock();
+      const Clock::time_point start = Clock::now();
+      model.mergeGroup(*digest);  // a throw aborts the launch: no more merges
+      const Clock::duration took = Clock::now() - start;
+      lock.lock();
+      digestBusy += took;
+    }
+    merging = false;
+  };
+
+  const auto participate = [&](bool caller) {
+    if (!caller && next.load() >= n) return;  // nothing left to claim
+    Clock::duration traced{};
+    Clock::duration digested{};
+    try {
+      rt::GroupExecutor exec(image);
+      rt::GroupTrace trace;
+      exec.setTrace(&trace);
       for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= wave) return;
-        exec.setTrace(&traces[i]);
-        exec.runGroup(groups[done + i]);
-      }
-    };
-    for (unsigned t = 1; t < threads; ++t) {
-      pool.submit([&executeLoop, t] { executeLoop(t); });
-    }
-    executeLoop(0);
-    pool.waitIdle();
-    const Clock::time_point traced = Clock::now();
+        if (caller && checkpoint) checkpoint();
+        {
+          std::lock_guard<std::mutex> lock(mutex);
+          if (aborted) break;
+        }
+        const std::size_t g = next.fetch_add(1);
+        if (g >= n) break;
 
-    // Phase B: digest. Sharded models need each shard's groups digested in
-    // dense order on one task (private cache state); stateless models
-    // stripe the wave across the pool.
-    if (shards > 0) {
-      std::vector<std::vector<std::size_t>> perShard(shards);
-      for (std::size_t i = 0; i < wave; ++i) {
-        perShard[model.shardOf(static_cast<std::uint32_t>(done + i))]
-            .push_back(i);
+        Clock::time_point start = Clock::now();
+        exec.runGroup(groups[g]);
+        traced += Clock::now() - start;
+
+        const unsigned shard = model.shardOf(static_cast<std::uint32_t>(g));
+        if (shards > 0) {
+          // Every lower group of this shard is held by a running
+          // participant, so the wait always ends (DESIGN.md §7).
+          std::unique_lock<std::mutex> lock(mutex);
+          turnChanged.wait(lock,
+                           [&] { return aborted || shardNext[shard] == g; });
+          if (aborted) break;
+        }
+        start = Clock::now();
+        Digest digest = model.digestGroup(shard, trace);
+        digested += Clock::now() - start;
+
+        std::unique_lock<std::mutex> lock(mutex);
+        if (shards > 0) {
+          shardNext[shard] = successor[g];
+          turnChanged.notify_all();
+        }
+        pending[g] = std::make_unique<Digest>(std::move(digest));
+        mergeReady(lock);
       }
-      std::vector<unsigned> jobs;
-      for (unsigned s = 0; s < shards; ++s) {
-        if (!perShard[s].empty()) jobs.push_back(s);
-      }
-      std::atomic<std::size_t> nextJob{0};
-      const auto digestLoop = [&] {
-        for (;;) {
-          const std::size_t j = nextJob.fetch_add(1);
-          if (j >= jobs.size()) return;
-          const unsigned s = jobs[j];
-          for (const std::size_t i : perShard[s]) {
-            digests[i] = model.digestGroup(s, traces[i]);
+    } catch (...) {
+      fail(std::current_exception());
+    }
+    std::lock_guard<std::mutex> lock(mutex);
+    traceBusy += traced;
+    digestBusy += digested;
+  };
+
+  // Helpers: each queued task holds the gate, which outlives the launch.
+  // A task that finds the gate closed returns without touching the
+  // launch's state; the caller closes it once its own loop is done and
+  // waits only for the helpers that got in before that.
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable left;
+    std::function<void()> work;  // participate(false) while open
+    unsigned inside = 0;
+    bool closed = false;
+  };
+  std::shared_ptr<Gate> gate;
+  const auto closeGate = [&gate] {
+    if (gate == nullptr) return;
+    std::unique_lock<std::mutex> lock(gate->mutex);
+    gate->closed = true;
+    gate->left.wait(lock, [&] { return gate->inside == 0; });
+    gate->work = nullptr;  // drop the reference into this frame
+  };
+  if (helpers != nullptr && n > 1) {
+    gate = std::make_shared<Gate>();
+    gate->work = [&participate] { participate(false); };
+    const std::size_t offered = std::min(helpers->size(), n - 1);
+    try {
+      for (std::size_t h = 0; h < offered; ++h) {
+        helpers->submit([gate] {
+          {
+            std::lock_guard<std::mutex> lock(gate->mutex);
+            if (gate->closed) return;
+            ++gate->inside;
           }
-        }
-      };
-      for (unsigned t = 1; t < threads; ++t) {
-        pool.submit(digestLoop);
+          gate->work();  // never throws: participate catches everything
+          std::lock_guard<std::mutex> lock(gate->mutex);
+          if (--gate->inside == 0) gate->left.notify_all();
+        });
       }
-      digestLoop();
-      pool.waitIdle();  // before perShard/jobs go out of scope
-    } else {
-      const auto stripeLoop = [&](unsigned t) {
-        for (std::size_t i = t; i < wave; i += threads) {
-          digests[i] = model.digestGroup(0, traces[i]);
-        }
-      };
-      for (unsigned t = 1; t < threads; ++t) {
-        pool.submit([&stripeLoop, t] { stripeLoop(t); });
-      }
-      stripeLoop(0);
-      pool.waitIdle();
+    } catch (...) {
+      fail(std::current_exception());  // helpers already in leave at once
     }
+  }
+  participate(true);
+  closeGate();
+  if (error != nullptr) std::rethrow_exception(error);
 
-    // Phase C: merge serially in dense order.
-    std::size_t bytes = 0;
-    for (std::size_t i = 0; i < wave; ++i) {
-      model.mergeGroup(digests[i]);
-      bytes += traces[i].byteSize();
-    }
-    addMs(times.traceMs, start, traced);
-    addMs(times.digestMs, traced, Clock::now());
-    avgBytes = bytes / wave;
-    done += wave;
+  TracedLaunchTimes times;
+  const double wallMs =
+      std::chrono::duration<double, std::milli>(Clock::now() - launchStart)
+          .count();
+  const double trace = std::chrono::duration<double>(traceBusy).count();
+  const double digest = std::chrono::duration<double>(digestBusy).count();
+  if (trace + digest > 0) {
+    times.traceMs = wallMs * (trace / (trace + digest));
+    times.digestMs = wallMs * (digest / (trace + digest));
   }
   return times;
 }

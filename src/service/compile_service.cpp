@@ -589,10 +589,11 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
   }
 
   // Per-variant tails: each proves (when asked) and then estimates its
-  // own Program on one thread. One thread per tail, because the prover
-  // and the estimator's rt::KernelImage (which renumbers the function)
-  // must not touch one function at once; the two Programs share nothing,
-  // so the tails run concurrently (DESIGN.md §8).
+  // own Program. One tail per Program, because the prover and the
+  // estimator's rt::KernelImage (which renumbers the function) must not
+  // touch one function at once; the two Programs share nothing, so the
+  // tails run concurrently, and each estimate's work-groups spread over
+  // the pool's idle workers (DESIGN.md §8).
   const apps::Application* app =
       resolved.appId.empty() ? nullptr
                              : &apps::applicationById(resolved.appId);
@@ -644,10 +645,10 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
     }
     if (!resolved.platform.empty()) {
       // Estimation dominates cold latency, so it polls the scope before
-      // every work-group: both tails estimate at once, leaving no stage
-      // boundary between them. One host thread: the pool's width is the
-      // service's only concurrency setting, and a nested ThreadPool per
-      // estimate would oversubscribe it.
+      // every work-group the tail runs: both tails estimate at once,
+      // leaving no stage boundary between them. The estimate borrows the
+      // service's own pool, whose idle workers join its work-groups; the
+      // pool's width stays the service's only concurrency setting.
       checkCancelled();
       {
         StageTimer timer(*this, &Counters::estimateNs);
@@ -655,7 +656,7 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
         estimate = perf::estimate(*perf::findPlatform(resolved.platform),
                                   *program.kernel(resolved.kernelName),
                                   instance.range, instance.args,
-                                  instance.benchSampleStride, 1,
+                                  instance.benchSampleStride, pool_,
                                   checkCancelled);
       }
       // Truncated to whole nanoseconds, so the phases never sum past the

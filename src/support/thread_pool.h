@@ -1,7 +1,8 @@
 // A minimal fixed-size thread pool. Its users: the interpreter's parallel
-// launches and the traced estimation driver (one task per work-group
-// batch), the compile service's request workers (which also run each cold
-// compile's forked per-variant tail), and the serving layer's workers.
+// launches, the traced estimation driver (which offers claimable helpers
+// to a pool its caller lends it), the compile service's request workers
+// (which also run each cold compile's forked per-variant tail and the
+// helpers of its estimates), and the serving layer's workers.
 #pragma once
 
 #include <condition_variable>

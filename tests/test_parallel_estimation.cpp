@@ -2,10 +2,17 @@
 // reference tree-walking executor event for event, and perf::estimate must
 // return bit-identical cycles for every thread count (the determinism
 // guarantee of perf/traced_driver.h), on applications covering the
-// paper's Table I pattern classes.
+// paper's Table I pattern classes. The driver's borrowed-pool contract is
+// covered too: a saturated pool, a pool shared by concurrent estimates,
+// cancellation while helpers wait for a shard turn, and helper faults.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <latch>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "apps/app.h"
@@ -15,8 +22,11 @@
 #include "perf/estimator.h"
 #include "perf/gpu_model.h"
 #include "perf/platform.h"
+#include "perf/traced_driver.h"
 #include "rt/interpreter.h"
 #include "rt/ref_interpreter.h"
+#include "support/diagnostics.h"
+#include "support/thread_pool.h"
 
 namespace grover {
 namespace {
@@ -162,6 +172,237 @@ TEST(ParallelEstimation, DigestPipelineMatchesSerialSinkPath) {
                          1, 8);
       EXPECT_EQ(est.cycles, sinkCycles) << id << " on " << platform.name;
     }
+  }
+}
+
+/// Every estimate field that must not depend on who ran the groups.
+void expectSameEstimate(const perf::PerfEstimate& a,
+                        const perf::PerfEstimate& b, const std::string& what) {
+  EXPECT_EQ(a.cycles, b.cycles) << what;
+  EXPECT_EQ(a.memoryCycles, b.memoryCycles) << what;
+  EXPECT_EQ(a.l1HitRate, b.l1HitRate) << what;
+  EXPECT_EQ(a.transactions, b.transactions) << what;
+  EXPECT_EQ(a.spmCycles, b.spmCycles) << what;
+  EXPECT_EQ(a.counters.total(), b.counters.total()) << what;
+}
+
+/// One-thread estimate of `app` at Test scale on `platform`.
+perf::PerfEstimate serialEstimate(const apps::Application& app,
+                                  ir::Function& kernel,
+                                  const perf::PlatformSpec& platform) {
+  apps::Instance instance = app.makeInstance(apps::Scale::Test);
+  return perf::estimate(platform, kernel, instance.range, instance.args,
+                        instance.benchSampleStride, 1);
+}
+
+perf::PerfEstimate pooledEstimate(const apps::Application& app,
+                                  ir::Function& kernel,
+                                  const perf::PlatformSpec& platform,
+                                  ThreadPool& pool) {
+  apps::Instance instance = app.makeInstance(apps::Scale::Test);
+  return perf::estimate(platform, kernel, instance.range, instance.args,
+                        instance.benchSampleStride, pool);
+}
+
+TEST(ParallelEstimation, SaturatedPoolLeavesTheCallerAlone) {
+  // Every worker is blocked until the estimates return, so no helper can
+  // start: the caller must run each launch alone, and the helpers queued
+  // behind the blockers must find their launch gone and do nothing.
+  ThreadPool pool(4);
+  std::latch release(1);
+  std::atomic<int> blocked{0};
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    pool.submit([&] {
+      ++blocked;
+      release.wait();
+    });
+  }
+  while (blocked.load() < 4) std::this_thread::yield();
+
+  const perf::PlatformSpec platforms[] = {perf::snb(), perf::mic(),
+                                          perf::fermi()};
+  for (const char* id : kApps) {
+    const apps::Application& app = apps::applicationById(id);
+    Program program = compile(app.source());
+    ir::Function* kernel = compiledKernel(program, app);
+    for (const perf::PlatformSpec& platform : platforms) {
+      expectSameEstimate(pooledEstimate(app, *kernel, platform, pool),
+                         serialEstimate(app, *kernel, platform),
+                         std::string(id) + " on " + platform.name);
+    }
+  }
+  release.count_down();
+  pool.waitIdle();
+
+  // The stale helper tasks are gone and the pool serves the next launch.
+  const apps::Application& app = apps::applicationById("PAB-ST");
+  Program program = compile(app.source());
+  ir::Function* kernel = compiledKernel(program, app);
+  expectSameEstimate(pooledEstimate(app, *kernel, perf::snb(), pool),
+                     serialEstimate(app, *kernel, perf::snb()),
+                     "PAB-ST on SNB after the pool drained");
+}
+
+TEST(ParallelEstimation, ConcurrentEstimatesShareOnePool) {
+  // Two callers on different models borrow the same 4-worker pool at
+  // once; each must still equal its serial estimate.
+  ThreadPool pool(4);
+  const apps::Application& cpuApp = apps::applicationById("PAB-ST");
+  const apps::Application& gpuApp = apps::applicationById("NVD-MM-A");
+  Program cpuProgram = compile(cpuApp.source());
+  Program gpuProgram = compile(gpuApp.source());
+  ir::Function* cpuKernel = compiledKernel(cpuProgram, cpuApp);
+  ir::Function* gpuKernel = compiledKernel(gpuProgram, gpuApp);
+  const perf::PerfEstimate cpuSerial =
+      serialEstimate(cpuApp, *cpuKernel, perf::snb());
+  const perf::PerfEstimate gpuSerial =
+      serialEstimate(gpuApp, *gpuKernel, perf::fermi());
+
+  for (int round = 0; round < 3; ++round) {
+    perf::PerfEstimate cpuPooled;
+    perf::PerfEstimate gpuPooled;
+    std::thread other([&] {
+      cpuPooled = pooledEstimate(cpuApp, *cpuKernel, perf::snb(), pool);
+    });
+    gpuPooled = pooledEstimate(gpuApp, *gpuKernel, perf::fermi(), pool);
+    other.join();
+    expectSameEstimate(cpuPooled, cpuSerial, "PAB-ST on SNB");
+    expectSameEstimate(gpuPooled, gpuSerial, "NVD-MM-A on Fermi");
+  }
+}
+
+/// A CpuModel whose first digest on a helper thread holds its shard until
+/// the caller's checkpoint has thrown (or 5 s pass), so that the later
+/// groups of the shard queue behind it in their turn waits.
+struct StallingCpuModel {
+  using GroupDigest = perf::CpuModel::GroupDigest;
+
+  explicit StallingCpuModel(const perf::PlatformSpec& spec) : inner(spec) {}
+
+  [[nodiscard]] unsigned digestShards() const { return inner.digestShards(); }
+  [[nodiscard]] unsigned shardOf(std::uint32_t dense) const {
+    return inner.shardOf(dense);
+  }
+  [[nodiscard]] GroupDigest digestGroup(unsigned shard,
+                                        const rt::GroupTrace& trace) {
+    if (std::this_thread::get_id() == caller || stalled.exchange(true)) {
+      return inner.digestGroup(shard, trace);
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!thrown.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    GroupDigest digest = inner.digestGroup(shard, trace);
+    stallDone = true;
+    return digest;
+  }
+  void mergeGroup(const GroupDigest& digest) { inner.mergeGroup(digest); }
+
+  perf::CpuModel inner;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> stalled{false};    // a helper took the stall
+  std::atomic<bool> stallDone{false};  // ... and has left its digest
+  std::atomic<bool> thrown{false};     // the checkpoint threw
+};
+
+TEST(ParallelEstimation, CancelWhileHelpersWaitForAShardTurn) {
+  struct Cancelled {};
+  const apps::Application& app = apps::applicationById("PAB-ST");
+  Program program = compile(app.source());
+  ir::Function* kernel = compiledKernel(program, app);
+  perf::PlatformSpec oneShard = perf::snb();
+  oneShard.hwThreads = 1;  // every group digests in the same shard
+  ThreadPool pool(4);
+
+  for (int round = 0; round < 3; ++round) {
+    apps::Instance instance = app.makeInstance(apps::Scale::Test);
+    rt::Launch launch(*kernel, instance.range, instance.args);
+    const auto groups = launch.sampledGroups();
+    ASSERT_GT(groups.size(), pool.size() + 1);
+    StallingCpuModel model(oneShard);
+    int calls = 0;
+    // Second call: once a helper holds the shard, give the other helpers
+    // time to queue behind it, then cancel.
+    const auto checkpoint = [&] {
+      if (++calls < 2) return;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!model.stalled.load() &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      model.thrown = true;
+      throw Cancelled{};
+    };
+    EXPECT_THROW(
+        (void)perf::runTracedLaunch(model, launch.image(), groups, &pool,
+                                    checkpoint),
+        Cancelled);
+    EXPECT_TRUE(model.stalled.load()) << "no helper ever digested";
+    // The stalled helper wakes only after the throw; the launch may
+    // return only once it has left.
+    EXPECT_TRUE(model.stallDone.load()) << "returned before a helper left";
+  }
+
+  // The pool is reusable and the next launch is bit-identical.
+  perf::PerfEstimate pooled = pooledEstimate(app, *kernel, oneShard, pool);
+  expectSameEstimate(pooled, serialEstimate(app, *kernel, oneShard),
+                     "PAB-ST on one-shard SNB after cancellation");
+  pool.waitIdle();
+}
+
+TEST(ParallelEstimation, HelperFaultReachesTheCaller) {
+  // Group `bad` writes out of bounds. The caller's first checkpoint waits
+  // for a probe queued behind the four helpers: it runs only once some
+  // helper has left, i.e. once every group is claimed or a helper
+  // faulted, so the caller itself never runs a group and the fault it
+  // rethrows is a helper's. On the one-shard model the groups after
+  // `bad` wait for its shard turn, which never comes: the fault has to
+  // wake them.
+  Program program = compile(R"(
+__kernel void k(__global float* out, int bad) {
+  int i = get_global_id(0);
+  if (get_group_id(0) == bad) i = i + 4096;
+  out[i] = 1.0f;
+})");
+  ir::Function* fn = program.kernel("k");
+  ASSERT_NE(fn, nullptr);
+  ThreadPool pool(4);
+  perf::PlatformSpec oneShard = perf::snb();
+  oneShard.hwThreads = 1;
+  const std::pair<perf::PlatformSpec, int> cases[] = {
+      {perf::fermi(), 15}, {perf::snb(), 15}, {oneShard, 8}};
+  for (const auto& [platform, bad] : cases) {
+    const std::string what =
+        platform.name + " hwThreads=" + std::to_string(platform.hwThreads);
+    rt::Buffer out = rt::Buffer::zeros<float>(256);
+    std::atomic<bool> probed{false};
+    bool waited = false;
+    const auto checkpoint = [&] {
+      if (waited) return;
+      waited = true;
+      pool.submit([&probed] { probed = true; });
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!probed.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+    try {
+      (void)perf::estimate(
+          platform, *fn, rt::NDRange::make1D(256, 16),
+          {rt::KernelArg::buffer(&out), rt::KernelArg::int32(bad)}, 1, pool,
+          checkpoint);
+      ADD_FAILURE() << "no fault reached the caller on " << what;
+    } catch (const GroverError& e) {
+      EXPECT_NE(std::string(e.what()).find("out-of-bounds"),
+                std::string::npos)
+          << what << ": " << e.what();
+    }
+    EXPECT_TRUE(probed.load()) << what;
+    pool.waitIdle();
   }
 }
 
