@@ -10,9 +10,11 @@
 // One loop serves every participant count. The calling thread always
 // participates; a borrowed ThreadPool may lend helpers. Each participant
 // owns one GroupExecutor and one GroupTrace and repeatedly claims the next
-// dense group from an atomic counter, executes it, waits for its shard's
-// turn, digests it and parks the digest in a pending slot. Whoever holds
-// the merge token merges the ready dense prefix and frees each digest.
+// dense group, executes it, waits for its shard's turn, digests it and
+// parks the digest in a pending slot. Whoever holds the merge token merges
+// the ready dense prefix and frees each digest. No group is claimed more
+// than a window of 2x the participant count past the merge cursor, which
+// bounds the parked digests.
 //
 // A model shards its private simulation state (Model::digestShards(); 0
 // means digests are stateless and may run anywhere) and keeps everything
@@ -25,7 +27,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -53,9 +54,12 @@ struct TracedLaunchTimes {
 /// Execute `groups` (in dense order) of `image` and feed every group's
 /// trace through `model`'s digest/merge pipeline. The calling thread runs
 /// the loop; when `helpers` is non-null, up to helpers->size() of its
-/// workers may join. Helpers are offered as claimable tasks: one that
-/// starts after the launch finished does nothing, and the call returns
-/// once every helper that did start has left. So a saturated pool simply
+/// workers may join. Helpers go to the pool's spare lane
+/// (ThreadPool::offer), so they start only on workers no submitted task
+/// is waiting for, and a started helper yields its worker between groups
+/// as soon as one is (re-offering itself while groups remain). A helper
+/// that starts after the launch finished does nothing, and the call
+/// returns once every helper that did start has left. So a busy pool
 /// leaves the caller to run the launch alone, and the pool is never
 /// waited idle.
 ///
@@ -85,11 +89,16 @@ TracedLaunchTimes runTracedLaunch(
     shardNext[s] = g;
   }
 
-  // Launch state, guarded by `mutex` except for the claim counter.
-  std::atomic<std::size_t> next{0};
+  // Launch state, guarded by `mutex`. Claims stay below
+  // mergeCursor + window, so at most `window` digests are ever parked,
+  // plus the one being merged.
+  const std::size_t offered =
+      helpers != nullptr && n > 1 ? std::min(helpers->size(), n - 1) : 0;
+  const std::size_t window = 2 * (offered + 1);
   std::mutex mutex;
-  std::condition_variable turnChanged;
+  std::condition_variable turnChanged;  // a shard turn or the cursor moved
   std::vector<std::unique_ptr<Digest>> pending(n);
+  std::size_t next = 0;
   std::size_t mergeCursor = 0;
   bool merging = false;
   bool aborted = false;
@@ -119,12 +128,20 @@ TracedLaunchTimes runTracedLaunch(
       const Clock::duration took = Clock::now() - start;
       lock.lock();
       digestBusy += took;
+      turnChanged.notify_all();  // wakes claims held back by the window
     }
     merging = false;
   };
 
+  // Runs the loop until no group is left, the launch aborts, or (for a
+  // helper) a submitted task waits for the worker. Returns whether it
+  // yielded with groups still unclaimed.
   const auto participate = [&](bool caller) {
-    if (!caller && next.load() >= n) return;  // nothing left to claim
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!caller && (aborted || next >= n)) return false;
+    }
+    bool yielded = false;
     Clock::duration traced{};
     Clock::duration digested{};
     try {
@@ -133,12 +150,21 @@ TracedLaunchTimes runTracedLaunch(
       exec.setTrace(&trace);
       for (;;) {
         if (caller && checkpoint) checkpoint();
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          if (aborted) break;
+        if (!caller && helpers->hasWaiting()) {
+          yielded = true;
+          break;
         }
-        const std::size_t g = next.fetch_add(1);
-        if (g >= n) break;
+        std::size_t g = 0;
+        {
+          // The merge cursor always advances: its group is claimed by a
+          // running participant or is next to claim (DESIGN.md §7).
+          std::unique_lock<std::mutex> lock(mutex);
+          turnChanged.wait(lock, [&] {
+            return aborted || next >= n || next < mergeCursor + window;
+          });
+          if (aborted || next >= n) break;
+          g = next++;
+        }
 
         Clock::time_point start = Clock::now();
         exec.runGroup(groups[g]);
@@ -171,18 +197,42 @@ TracedLaunchTimes runTracedLaunch(
     std::lock_guard<std::mutex> lock(mutex);
     traceBusy += traced;
     digestBusy += digested;
+    return yielded && !aborted && next < n;
   };
 
   // Helpers: each queued task holds the gate, which outlives the launch.
   // A task that finds the gate closed returns without touching the
   // launch's state; the caller closes it once its own loop is done and
-  // waits only for the helpers that got in before that.
+  // waits only for the helpers that got in before that. A helper that
+  // yielded re-offers itself after leaving the gate.
   struct Gate {
+    ThreadPool* pool = nullptr;
     std::mutex mutex;
     std::condition_variable left;
-    std::function<void()> work;  // participate(false) while open
+    std::function<bool()> work;  // participate(false) while open
     unsigned inside = 0;
     bool closed = false;
+
+    static void offerHelper(const std::shared_ptr<Gate>& gate) {
+      gate->pool->offer([gate] {
+        {
+          std::lock_guard<std::mutex> lock(gate->mutex);
+          if (gate->closed) return;
+          ++gate->inside;
+        }
+        const bool yielded = gate->work();  // never throws
+        {
+          std::lock_guard<std::mutex> lock(gate->mutex);
+          if (--gate->inside == 0) gate->left.notify_all();
+        }
+        if (!yielded) return;
+        try {
+          offerHelper(gate);
+        } catch (...) {
+          // Not re-offered: the launch's other participants finish it.
+        }
+      });
+    }
   };
   std::shared_ptr<Gate> gate;
   const auto closeGate = [&gate] {
@@ -192,23 +242,12 @@ TracedLaunchTimes runTracedLaunch(
     gate->left.wait(lock, [&] { return gate->inside == 0; });
     gate->work = nullptr;  // drop the reference into this frame
   };
-  if (helpers != nullptr && n > 1) {
+  if (offered > 0) {
     gate = std::make_shared<Gate>();
-    gate->work = [&participate] { participate(false); };
-    const std::size_t offered = std::min(helpers->size(), n - 1);
+    gate->pool = helpers;
+    gate->work = [&participate] { return participate(false); };
     try {
-      for (std::size_t h = 0; h < offered; ++h) {
-        helpers->submit([gate] {
-          {
-            std::lock_guard<std::mutex> lock(gate->mutex);
-            if (gate->closed) return;
-            ++gate->inside;
-          }
-          gate->work();  // never throws: participate catches everything
-          std::lock_guard<std::mutex> lock(gate->mutex);
-          if (--gate->inside == 0) gate->left.notify_all();
-        });
-      }
+      for (std::size_t h = 0; h < offered; ++h) Gate::offerHelper(gate);
     } catch (...) {
       fail(std::current_exception());  // helpers already in leave at once
     }

@@ -647,8 +647,9 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
       // Estimation dominates cold latency, so it polls the scope before
       // every work-group the tail runs: both tails estimate at once,
       // leaving no stage boundary between them. The estimate borrows the
-      // service's own pool, whose idle workers join its work-groups; the
-      // pool's width stays the service's only concurrency setting.
+      // service's own pool: idle workers join its work-groups and yield
+      // to any request that reaches the pool meanwhile. The pool's width
+      // stays the service's only concurrency setting.
       checkCancelled();
       {
         StageTimer timer(*this, &Counters::estimateNs);

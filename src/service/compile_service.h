@@ -29,8 +29,8 @@ namespace grover::service {
 struct ServiceConfig {
   /// Worker threads compiling requests (0 = hardware concurrency). The
   /// service's only concurrency setting: a cold compile forks its two
-  /// per-variant prove+estimate tails onto this same pool, and each
-  /// estimate runs on one thread.
+  /// per-variant prove+estimate tails onto this same pool, and idle
+  /// workers join each estimate's work-groups.
   unsigned workers = 0;
   /// Max requests being compiled or queued at once; submit() blocks
   /// (back-pressure) when the bound is reached.

@@ -28,13 +28,24 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard lock(mutex_);
     queue_.push(std::move(task));
+    waiting_.store(queue_.size(), std::memory_order_relaxed);
+  }
+  cv_task_.notify_one();
+}
+
+void ThreadPool::offer(std::function<void()> task) {
+  {
+    std::lock_guard lock(mutex_);
+    spare_.push(std::move(task));
   }
   cv_task_.notify_one();
 }
 
 void ThreadPool::waitIdle() {
   std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
+  cv_idle_.wait(lock, [this] {
+    return queue_.empty() && spare_.empty() && active_ == 0;
+  });
   if (first_exception_ != nullptr) {
     std::exception_ptr e = std::exchange(first_exception_, nullptr);
     lock.unlock();
@@ -47,10 +58,19 @@ void ThreadPool::workerLoop() {
     std::function<void()> task;
     {
       std::unique_lock lock(mutex_);
-      cv_task_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (stopping_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop();
+      cv_task_.wait(lock, [this] {
+        return stopping_ || !queue_.empty() || !spare_.empty();
+      });
+      if (!queue_.empty()) {
+        task = std::move(queue_.front());
+        queue_.pop();
+        waiting_.store(queue_.size(), std::memory_order_relaxed);
+      } else if (!spare_.empty()) {
+        task = std::move(spare_.front());
+        spare_.pop();
+      } else {
+        return;  // stopping, and both lanes are drained
+      }
       ++active_;
     }
     std::exception_ptr thrown;
@@ -65,7 +85,9 @@ void ThreadPool::workerLoop() {
         first_exception_ = thrown;
       }
       --active_;
-      if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
+      if (queue_.empty() && spare_.empty() && active_ == 0) {
+        cv_idle_.notify_all();
+      }
     }
   }
 }

@@ -3,8 +3,13 @@
 // to a pool its caller lends it), the compile service's request workers
 // (which also run each cold compile's forked per-variant tail and the
 // helpers of its estimates), and the serving layer's workers.
+//
+// Two lanes: submit() queues ordinary work; offer() queues spare-capacity
+// work, which a worker takes only when no ordinary task is waiting. A
+// spare task that runs long polls hasWaiting() and yields its worker.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
@@ -36,7 +41,17 @@ class ThreadPool {
 
   void submit(std::function<void()> task);
 
-  /// Block until all submitted tasks have finished. Rethrows the first
+  /// Queue a spare-capacity task: workers take it only while no submit()
+  /// task is waiting, in FIFO order among offered tasks.
+  void offer(std::function<void()> task);
+
+  /// True while some submit() task waits for a worker: the signal for a
+  /// running offered task to yield between its units of work.
+  [[nodiscard]] bool hasWaiting() const {
+    return waiting_.load(std::memory_order_relaxed) > 0;
+  }
+
+  /// Block until all submitted and offered tasks have finished. Rethrows the first
   /// exception any task threw since the previous waitIdle(); the pool
   /// remains usable afterwards.
   void waitIdle();
@@ -48,6 +63,8 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
+  std::queue<std::function<void()>> spare_;  // offer()ed tasks
+  std::atomic<std::size_t> waiting_{0};      // queue_.size(), lock-free read
   std::mutex mutex_;
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;

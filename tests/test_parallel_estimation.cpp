@@ -4,7 +4,8 @@
 // guarantee of perf/traced_driver.h), on applications covering the
 // paper's Table I pattern classes. The driver's borrowed-pool contract is
 // covered too: a saturated pool, a pool shared by concurrent estimates,
-// cancellation while helpers wait for a shard turn, and helper faults.
+// cancellation while helpers wait for a shard turn, helpers yielding to
+// submitted work, the parked-digest window, and helper faults.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -271,9 +272,11 @@ TEST(ParallelEstimation, ConcurrentEstimatesShareOnePool) {
   }
 }
 
-/// A CpuModel whose first digest on a helper thread holds its shard until
-/// the caller's checkpoint has thrown (or 5 s pass), so that the later
-/// groups of the shard queue behind it in their turn waits.
+/// A CpuModel whose first helper digest after the caller's first digest
+/// holds its shard until the caller's checkpoint has thrown (or 5 s
+/// pass), so that the later groups of the shard queue behind it in their
+/// turn waits. Stalling only a group above the caller's first one keeps
+/// the caller itself out of those waits: it is at its next checkpoint.
 struct StallingCpuModel {
   using GroupDigest = perf::CpuModel::GroupDigest;
 
@@ -285,7 +288,12 @@ struct StallingCpuModel {
   }
   [[nodiscard]] GroupDigest digestGroup(unsigned shard,
                                         const rt::GroupTrace& trace) {
-    if (std::this_thread::get_id() == caller || stalled.exchange(true)) {
+    if (std::this_thread::get_id() == caller) {
+      GroupDigest digest = inner.digestGroup(shard, trace);
+      callerDigested = true;
+      return digest;
+    }
+    if (!callerDigested.load() || stalled.exchange(true)) {
       return inner.digestGroup(shard, trace);
     }
     const auto deadline =
@@ -301,6 +309,7 @@ struct StallingCpuModel {
 
   perf::CpuModel inner;
   const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> callerDigested{false};
   std::atomic<bool> stalled{false};    // a helper took the stall
   std::atomic<bool> stallDone{false};  // ... and has left its digest
   std::atomic<bool> thrown{false};     // the checkpoint threw
@@ -333,6 +342,10 @@ TEST(ParallelEstimation, CancelWhileHelpersWaitForAShardTurn) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      // The throw must land while the stalled helper still holds the
+      // shard, or the test never saw helpers queued behind a turn.
+      EXPECT_FALSE(model.stallDone.load())
+          << "the stall ended before the throw";
       model.thrown = true;
       throw Cancelled{};
     };
@@ -353,12 +366,150 @@ TEST(ParallelEstimation, CancelWhileHelpersWaitForAShardTurn) {
   pool.waitIdle();
 }
 
+/// A GpuModel whose digests take at least 1 ms, so that a launch's
+/// helpers are still claiming groups when other work reaches the pool.
+struct SlowGpuModel {
+  using GroupDigest = perf::GpuModel::GroupDigest;
+
+  explicit SlowGpuModel(const perf::PlatformSpec& spec) : inner(spec) {}
+
+  [[nodiscard]] unsigned digestShards() const { return inner.digestShards(); }
+  [[nodiscard]] unsigned shardOf(std::uint32_t dense) const {
+    return inner.shardOf(dense);
+  }
+  [[nodiscard]] GroupDigest digestGroup(unsigned shard,
+                                        const rt::GroupTrace& trace) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ++digests;
+    return inner.digestGroup(shard, trace);
+  }
+  void mergeGroup(const GroupDigest& digest) { inner.mergeGroup(digest); }
+
+  perf::GpuModel inner;
+  std::atomic<std::size_t> digests{0};
+};
+
+TEST(ParallelEstimation, HelpersYieldToSubmittedWork) {
+  // Work submitted to the pool mid-launch must not wait for the launch
+  // to run out of groups: helpers yield their workers between groups.
+  // The caller's second checkpoint submits a probe and waits for it; the
+  // probe has to start while most groups are still undigested, and the
+  // launch still equals its serial result.
+  Program program = compile(R"(
+__kernel void k(__global float* out) {
+  out[get_global_id(0)] = 1.0f;
+})");
+  ir::Function* fn = program.kernel("k");
+  ASSERT_NE(fn, nullptr);
+  rt::Buffer out = rt::Buffer::zeros<float>(1024);
+  rt::Launch launch(*fn, rt::NDRange::make1D(1024, 16),
+                    {rt::KernelArg::buffer(&out)});
+  const auto groups = launch.sampledGroups();
+  ASSERT_EQ(groups.size(), 64U);
+  ThreadPool pool(4);
+
+  for (int round = 0; round < 3; ++round) {
+    SlowGpuModel model(perf::fermi());
+    std::atomic<bool> probed{false};
+    std::atomic<std::size_t> digestsAtProbe{groups.size()};
+    int calls = 0;
+    const auto checkpoint = [&] {
+      if (++calls != 2) return;
+      pool.submit([&] {
+        digestsAtProbe = model.digests.load();
+        probed = true;
+      });
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!probed.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+    (void)perf::runTracedLaunch(model, launch.image(), groups, &pool,
+                                checkpoint);
+    pool.waitIdle();  // the probe ran, and no helper is left behind
+    EXPECT_TRUE(probed.load());
+    EXPECT_LT(digestsAtProbe.load(), groups.size() / 2)
+        << "the probe waited for the launch's helpers to run out of groups";
+
+    perf::GpuModel serial(perf::fermi());
+    (void)perf::runTracedLaunch(serial, launch.image(), groups, nullptr);
+    EXPECT_EQ(model.inner.totalCycles(), serial.totalCycles());
+  }
+}
+
+/// A GpuModel whose first digest stalls for 50 ms, holding the merge
+/// cursor back, and which tracks the most digests ever left unmerged.
+struct CursorStallingGpuModel {
+  using GroupDigest = perf::GpuModel::GroupDigest;
+
+  explicit CursorStallingGpuModel(const perf::PlatformSpec& spec)
+      : inner(spec) {}
+
+  [[nodiscard]] unsigned digestShards() const { return inner.digestShards(); }
+  [[nodiscard]] unsigned shardOf(std::uint32_t dense) const {
+    return inner.shardOf(dense);
+  }
+  [[nodiscard]] GroupDigest digestGroup(unsigned shard,
+                                        const rt::GroupTrace& trace) {
+    if (!stalled.exchange(true)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    GroupDigest digest = inner.digestGroup(shard, trace);
+    const std::size_t parked = ++digested - merged.load();
+    std::size_t peak = peakParked.load();
+    while (parked > peak && !peakParked.compare_exchange_weak(peak, parked)) {
+    }
+    return digest;
+  }
+  void mergeGroup(const GroupDigest& digest) {
+    ++merged;
+    inner.mergeGroup(digest);
+  }
+
+  perf::GpuModel inner;
+  std::atomic<bool> stalled{false};
+  std::atomic<std::size_t> digested{0};
+  std::atomic<std::size_t> merged{0};
+  std::atomic<std::size_t> peakParked{0};
+};
+
+TEST(ParallelEstimation, ParkedDigestsStayWithinTheWindow) {
+  // While one digest holds the merge cursor back, the other participants
+  // may run at most 2x the participant count of groups past it, rather
+  // than parking the digest of every other group of the launch.
+  Program program = compile(R"(
+__kernel void k(__global float* out) {
+  out[get_global_id(0)] = 1.0f;
+})");
+  ir::Function* fn = program.kernel("k");
+  ASSERT_NE(fn, nullptr);
+  rt::Buffer out = rt::Buffer::zeros<float>(1024);
+  rt::Launch launch(*fn, rt::NDRange::make1D(1024, 16),
+                    {rt::KernelArg::buffer(&out)});
+  const auto groups = launch.sampledGroups();
+  ThreadPool pool(4);
+  const std::size_t window = 2 * (pool.size() + 1);
+  ASSERT_GT(groups.size(), 2 * window);
+
+  CursorStallingGpuModel model(perf::fermi());
+  (void)perf::runTracedLaunch(model, launch.image(), groups, &pool);
+  // Plus one: the merge cursor passes a digest just before merging it.
+  EXPECT_LE(model.peakParked.load(), window + 1);
+  EXPECT_EQ(model.merged.load(), groups.size());
+
+  perf::GpuModel serial(perf::fermi());
+  (void)perf::runTracedLaunch(serial, launch.image(), groups, nullptr);
+  EXPECT_EQ(model.inner.totalCycles(), serial.totalCycles());
+  pool.waitIdle();
+}
+
 TEST(ParallelEstimation, HelperFaultReachesTheCaller) {
   // Group `bad` writes out of bounds. The caller's first checkpoint waits
-  // for a probe queued behind the four helpers: it runs only once some
-  // helper has left, i.e. once every group is claimed or a helper
-  // faulted, so the caller itself never runs a group and the fault it
-  // rethrows is a helper's. On the one-shard model the groups after
+  // for a probe offered behind the four helpers (a submitted probe would
+  // make them yield): it runs only once some helper has left, i.e. once
+  // every group is claimed or a helper faulted, so the caller itself
+  // never runs a group and the fault it rethrows is a helper's. On the one-shard model the groups after
   // `bad` wait for its shard turn, which never comes: the fault has to
   // wake them.
   Program program = compile(R"(
@@ -383,7 +534,7 @@ __kernel void k(__global float* out, int bad) {
     const auto checkpoint = [&] {
       if (waited) return;
       waited = true;
-      pool.submit([&probed] { probed = true; });
+      pool.offer([&probed] { probed = true; });
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(5);
       while (!probed.load() && std::chrono::steady_clock::now() < deadline) {

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "support/diagnostics.h"
 #include "support/hash.h"
@@ -149,6 +152,27 @@ TEST(ThreadPool, OnlyFirstExceptionIsKept) {
     EXPECT_STREQ(e.what(), "first");
   }
   pool.waitIdle();  // second exception was dropped, not deferred
+}
+
+TEST(ThreadPool, OfferedTasksRunOnlyWhenNoSubmittedTaskWaits) {
+  ThreadPool pool(1);  // one worker -> deterministic task order
+  std::latch release(1);
+  std::atomic<bool> started{false};
+  pool.submit([&] {
+    started = true;
+    release.wait();
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::vector<int> order;  // written by the one worker only
+  pool.offer([&order] { order.push_back(1); });
+  pool.offer([&order] { order.push_back(2); });
+  EXPECT_FALSE(pool.hasWaiting());
+  pool.submit([&order] { order.push_back(3); });
+  EXPECT_TRUE(pool.hasWaiting());
+  release.count_down();
+  pool.waitIdle();  // waits for offered tasks too
+  EXPECT_FALSE(pool.hasWaiting());
+  EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
 }
 
 }  // namespace
