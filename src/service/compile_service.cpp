@@ -14,6 +14,7 @@
 #include "perf/platform.h"
 #include "support/diagnostics.h"
 #include "support/hash.h"
+#include "support/malloc_tuning.h"
 #include "sym/prover.h"
 #include "sym/witness_check.h"
 
@@ -90,6 +91,9 @@ CompileService::CompileService(ServiceConfig config)
       engine_(),
       feedback_(policy_store_),
       pool_(config_.workers) {
+  // Estimates allocate multi-MiB buffers on whichever pool worker runs a
+  // work-group; keep them out of the per-thread arenas (DESIGN.md §8).
+  support::pinMallocThresholds();
   if (config_.measureRate > 0 && config_.measureQueueDepth > 0) {
     measure_thread_ = std::thread([this] { measureLoop(); });
   }

@@ -157,6 +157,8 @@ class CompileService {
  public:
   using Future = std::shared_future<ArtifactPtr>;
 
+  /// Also pins the process's malloc thresholds
+  /// (support::pinMallocThresholds), once per process.
   explicit CompileService(ServiceConfig config = {});
   ~CompileService();  // drains and shuts down
 

@@ -277,6 +277,8 @@ TEST(ParallelEstimation, ConcurrentEstimatesShareOnePool) {
 /// pass), so that the later groups of the shard queue behind it in their
 /// turn waits. Stalling only a group above the caller's first one keeps
 /// the caller itself out of those waits: it is at its next checkpoint.
+/// The test keeps every pool worker busy until the caller has digested,
+/// so the caller always gets the first group.
 struct StallingCpuModel {
   using GroupDigest = perf::CpuModel::GroupDigest;
 
@@ -330,6 +332,22 @@ TEST(ParallelEstimation, CancelWhileHelpersWaitForAShardTurn) {
     const auto groups = launch.sampledGroups();
     ASSERT_GT(groups.size(), pool.size() + 1);
     StallingCpuModel model(oneShard);
+    // Hold every worker until the caller has digested its first group:
+    // otherwise a descheduled caller may find every group claimed by
+    // helpers, and nothing stalls.
+    std::latch holding(static_cast<std::ptrdiff_t>(pool.size()));
+    for (std::size_t w = 0; w < pool.size(); ++w) {
+      pool.submit([&] {
+        holding.count_down();
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!model.callerDigested.load() &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+    }
+    holding.wait();  // no submitted task waits, so helpers queue behind
     int calls = 0;
     // Second call: once a helper holds the shard, give the other helpers
     // time to queue behind it, then cancel.
@@ -357,6 +375,7 @@ TEST(ParallelEstimation, CancelWhileHelpersWaitForAShardTurn) {
     // The stalled helper wakes only after the throw; the launch may
     // return only once it has left.
     EXPECT_TRUE(model.stallDone.load()) << "returned before a helper left";
+    pool.waitIdle();  // the holding tasks read `model`
   }
 
   // The pool is reusable and the next launch is bit-identical.

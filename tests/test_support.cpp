@@ -2,14 +2,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <latch>
 #include <thread>
 #include <vector>
 
 #include "support/diagnostics.h"
 #include "support/hash.h"
+#include "support/malloc_tuning.h"
 #include "support/str.h"
 #include "support/thread_pool.h"
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 namespace grover {
 namespace {
@@ -173,6 +179,24 @@ TEST(ThreadPool, OfferedTasksRunOnlyWhenNoSubmittedTaskWaits) {
   pool.waitIdle();  // waits for offered tasks too
   EXPECT_FALSE(pool.hasWaiting());
   EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
+}
+
+TEST(MallocTuning, PinnedThresholdMapsBlocksAfterALargerFree) {
+#if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
+  support::pinMallocThresholds();
+  // Unpinned, freeing a mapped 8 MiB block raises the mmap threshold to
+  // 8 MiB, and the 2 MiB block below would come from the heap.
+  static void* volatile sink = nullptr;  // keeps the pairs from elision
+  sink = std::malloc(8U << 20);
+  std::free(sink);
+  const std::size_t before = mallinfo2().hblks;
+  sink = std::malloc(2U << 20);
+  const std::size_t during = mallinfo2().hblks;
+  std::free(sink);
+  EXPECT_EQ(during, before + 1) << "the 2 MiB block was not mapped";
+#else
+  GTEST_SKIP() << "glibc malloc only";
+#endif
 }
 
 }  // namespace
