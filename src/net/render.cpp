@@ -61,9 +61,10 @@ std::string renderStats(const service::ServiceStats& s,
      << " misses, " << s.diskHits << " disk hits, " << s.compiles
      << " compiles, " << s.evictions << " evictions, "
      << s.diskLoadFailures << " disk load failures, " << s.cancelled
-     << " cancelled\n";
+     << " cancelled, " << s.kernelReuses << " kernel reuses\n";
   os << "cache bytes: " << s.bytesInUse << " in " << s.entries
-     << " entries\n";
+     << " entries, " << s.kernelEntryBytes << " in " << s.kernelEntries
+     << " kernel entries\n";
   // Per-stage wall-time breakdown of everything the service did: parse,
   // transform, validate, estimate-or-execute, cache.
   os << "stages: frontend " << fixed(s.frontendMs, 1) << " ms, grover "

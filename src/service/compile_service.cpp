@@ -4,10 +4,13 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 
 #include "grovercl/compiler.h"
+#include "ir/ir_parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
 #include "perf/estimator.h"
@@ -54,6 +57,50 @@ sym::ProofStatus worseOf(sym::ProofStatus a, sym::ProofStatus b) {
   return rank(a) >= rank(b) ? a : b;
 }
 
+/// A variant's aggregated proof status and the note of its decisive
+/// verdict.
+using Proof = std::pair<sym::ProofStatus, std::string>;
+
+/// The platform-free artifact (the kernel entry): `unproved` plus both
+/// variants' proofs and the safety veto.
+ArtifactPtr withProofs(const Artifact& unproved, const Proof& original,
+                       const Proof& transformed) {
+  auto a = std::make_shared<Artifact>(unproved);
+  const auto& [origStatus, origNote] = original;
+  const auto& [transStatus, transNote] = transformed;
+  a->proofOriginal = origStatus;
+  a->proofTransformed = transStatus;
+  a->proofNote =
+      worseOf(transStatus, origStatus) == transStatus ? transNote : origNote;
+  // The veto: an originally race-free (or at worst Unknown) kernel whose
+  // transformed IR is provably racy must never be served transformed —
+  // the transform manufactured the race. An original that is itself
+  // Refuted stays the author's problem; Grover did not make it worse.
+  a->proofVetoed = origStatus != sym::ProofStatus::Refuted &&
+                   transStatus == sym::ProofStatus::Refuted;
+  return a;
+}
+
+/// The kernel entries' share of ServiceConfig::cache.maxBytes. A kernel
+/// has one entry and one artifact per platform, all about the size of
+/// its two IR texts, so an eighth keeps the entries of the kernels whose
+/// artifacts the other seven eighths retain.
+constexpr std::size_t kKernelBudgetDivisor = 8;
+
+ArtifactCache::Config artifactTier(ArtifactCache::Config config) {
+  config.maxBytes -= config.maxBytes / kKernelBudgetDivisor;
+  return config;
+}
+
+/// A fresh Program from printed IR — the same trust boundary as the
+/// artifact disk tier (ir::parseModule verifies every function).
+Program parseProgram(const std::string& text) {
+  Program program;
+  program.context = std::make_unique<ir::Context>();
+  program.module = ir::parseModule(*program.context, text);
+  return program;
+}
+
 /// Fork-join of two independent tails of one compile on the service's
 /// own pool. `side` is offered to the pool as a reclaimable task while
 /// the caller runs `here`; then the caller claims `side` itself unless a
@@ -86,11 +133,13 @@ void forkJoin(ThreadPool& pool, Side side, Here here) {
 
 CompileService::CompileService(ServiceConfig config)
     : config_(std::move(config)),
-      cache_(config_.cache),
+      cache_(artifactTier(config_.cache)),
       policy_store_(config_.policyStore),
       engine_(),
       feedback_(policy_store_),
-      pool_(config_.workers) {
+      pool_(config_.workers),
+      kernels_(config_.cache.maxBytes / kKernelBudgetDivisor,
+               config_.cache.shards) {
   // Estimates allocate multi-MiB buffers on whichever pool worker runs a
   // work-group; keep them out of the per-thread arenas (DESIGN.md §8).
   support::pinMallocThresholds();
@@ -123,7 +172,7 @@ Request CompileService::resolve(Request request) {
 
 std::uint64_t CompileService::cacheKey(const Request& resolved) {
   Fnv1a h;
-  h.update(std::string_view("groverc-artifact-key-v2"));
+  h.update(std::string_view("groverc-artifact-key-v3"));
   h.update(std::string_view(resolved.source));
   h.update(std::string_view(resolved.kernelName));
   h.update(static_cast<std::uint64_t>(resolved.options.onlyBuffers.size()));
@@ -133,6 +182,12 @@ std::uint64_t CompileService::cacheKey(const Request& resolved) {
   h.update(resolved.options.removeBarriers);
   h.update(resolved.options.cleanup);
   h.update(resolved.options.prove);
+  if (resolved.options.prove) {
+    // Proofs run under the app's launch geometry, or a per-kernel one for
+    // raw source (compileUncached), so an app and a raw request of the
+    // same kernel get different proofs. The empty app id marks raw source.
+    h.update(std::string_view(resolved.appId));
+  }
   h.update(std::string_view(resolved.platform));
   h.update(static_cast<std::uint64_t>(resolved.scale));
   return h.digest();
@@ -528,18 +583,10 @@ policy::Decision CompileService::recordMeasurement(std::uint64_t policyKey,
   return refreshed;
 }
 
-ArtifactPtr CompileService::compileUncached(const Request& resolved,
-                                            const CancelScope* cancel) {
-  bump(&Counters::compiles);
-  auto artifact = std::make_shared<Artifact>();
-  // Stage-boundary cancellation poll: cheap enough to sit between every
-  // stage, coarse enough that a stage never observes a torn abort.
-  const auto checkCancelled = [cancel] {
-    if (cancel != nullptr && cancel->cancelled()) throw CancelledCompile{};
-  };
-
-  Program original;
-  Program transformed;
+ArtifactPtr CompileService::analyseKernel(
+    const Request& resolved, Program& original, Program& transformed,
+    const std::function<void()>& checkCancelled) {
+  auto unproved = std::make_shared<Artifact>();
   {
     StageTimer timer(*this, &Counters::frontendNs);
     DiagnosticEngine diags;
@@ -556,48 +603,46 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
   }
   checkCancelled();
 
-  {
-    bool any = false;
-    for (const auto& fn : transformed.module->functions()) {
-      if (!fn->isKernel()) continue;
-      if (!resolved.kernelName.empty() && fn->name() != resolved.kernelName) {
-        continue;
-      }
-      any = true;
-      grv::GroverResult result = [&] {
-        StageTimer timer(*this, &Counters::groverNs);
-        return grv::runGrover(*fn, resolved.options);
-      }();
-      {
-        StageTimer timer(*this, &Counters::validateNs);
-        ir::verifyFunction(*fn);
-      }
-      artifact->report.anyTransformed |= result.anyTransformed;
-      artifact->report.barriersRemoved |= result.barriersRemoved;
-      for (auto& b : result.buffers) {
-        artifact->report.buffers.push_back(std::move(b));
-      }
+  bool any = false;
+  for (const auto& fn : transformed.module->functions()) {
+    if (!fn->isKernel()) continue;
+    if (!resolved.kernelName.empty() && fn->name() != resolved.kernelName) {
+      continue;
     }
-    if (!any) {
-      return negative(resolved.kernelName.empty()
-                          ? "no kernel found in source"
-                          : "kernel '" + resolved.kernelName + "' not found");
+    any = true;
+    grv::GroverResult result = [&] {
+      StageTimer timer(*this, &Counters::groverNs);
+      return grv::runGrover(*fn, resolved.options);
+    }();
+    {
+      StageTimer timer(*this, &Counters::validateNs);
+      ir::verifyFunction(*fn);
     }
+    unproved->report.anyTransformed |= result.anyTransformed;
+    unproved->report.barriersRemoved |= result.barriersRemoved;
+    for (auto& b : result.buffers) {
+      unproved->report.buffers.push_back(std::move(b));
+    }
+  }
+  if (!any) {
+    return negative(resolved.kernelName.empty()
+                        ? "no kernel found in source"
+                        : "kernel '" + resolved.kernelName + "' not found");
   }
   checkCancelled();
 
   {
     StageTimer timer(*this, &Counters::printNs);
-    artifact->originalText = ir::printModule(*original.module);
-    artifact->transformedText = ir::printModule(*transformed.module);
+    unproved->originalText = ir::printModule(*original.module);
+    unproved->transformedText = ir::printModule(*transformed.module);
   }
+  unproved->ok = true;
+  return unproved;
+}
 
-  // Per-variant tails: each proves (when asked) and then estimates its
-  // own Program. One tail per Program, because the prover and the
-  // estimator's rt::KernelImage (which renumbers the function) must not
-  // touch one function at once; the two Programs share nothing, so the
-  // tails run concurrently, and each estimate's work-groups spread over
-  // the pool's idle workers (DESIGN.md §8).
+ArtifactPtr CompileService::proveKernel(
+    const Request& resolved, const Artifact& unproved, Program& original,
+    Program& transformed, const std::function<void()>& checkCancelled) {
   const apps::Application* app =
       resolved.appId.empty() ? nullptr
                              : &apps::applicationById(resolved.appId);
@@ -605,13 +650,14 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
   // values; raw sources prove under a per-kernel geometry with the
   // dimensions the kernel never queries collapsed to extent 1.
   sym::ProveOptions popts;
-  if (resolved.options.prove && app != nullptr) {
+  if (app != nullptr) {
     const apps::Instance instance = app->makeInstance(resolved.scale);
     popts = sym::proveOptionsForLaunch(instance.range, instance.args);
   }
-  const auto proveMatching = [&](Program& program) {
-    sym::ProofStatus agg = sym::ProofStatus::Unchecked;
-    std::string note;
+  const auto proveMatching = [&](Program& program, Proof& proof) {
+    checkCancelled();
+    StageTimer timer(*this, &Counters::proveNs);
+    auto& [agg, note] = proof;
     for (const auto& fn : program.module->functions()) {
       if (!fn->isKernel()) continue;
       if (!resolved.kernelName.empty() && fn->name() != resolved.kernelName) {
@@ -637,80 +683,109 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
         note = fn->name() + ": " + report.summary();
       }
     }
-    return std::make_pair(agg, note);
-  };
-  using Proof = std::pair<sym::ProofStatus, std::string>;
-  const auto tail = [&](Program& program, Proof& proof,
-                        perf::PerfEstimate& estimate) {
-    if (resolved.options.prove) {
-      checkCancelled();
-      StageTimer timer(*this, &Counters::proveNs);
-      proof = proveMatching(program);
-    }
-    if (!resolved.platform.empty()) {
-      // Estimation dominates cold latency, so it polls the scope before
-      // every work-group the tail runs: both tails estimate at once,
-      // leaving no stage boundary between them. The estimate borrows the
-      // service's own pool: idle workers join its work-groups and yield
-      // to any request that reaches the pool meanwhile. The pool's width
-      // stays the service's only concurrency setting.
-      checkCancelled();
-      {
-        StageTimer timer(*this, &Counters::estimateNs);
-        apps::Instance instance = app->makeInstance(resolved.scale);
-        estimate = perf::estimate(*perf::findPlatform(resolved.platform),
-                                  *program.kernel(resolved.kernelName),
-                                  instance.range, instance.args,
-                                  instance.benchSampleStride, pool_,
-                                  checkCancelled);
-      }
-      // Truncated to whole nanoseconds, so the phases never sum past the
-      // stage timer that encloses them.
-      bump(&Counters::estimateTraceNs,
-           static_cast<std::uint64_t>(estimate.traceMs * 1e6));
-      bump(&Counters::estimateDigestNs,
-           static_cast<std::uint64_t>(estimate.digestMs * 1e6));
-    }
   };
   Proof origProof{sym::ProofStatus::Unchecked, ""};
   Proof transProof{sym::ProofStatus::Unchecked, ""};
-  perf::PerfEstimate with;
-  perf::PerfEstimate without;
-  if (resolved.options.prove || !resolved.platform.empty()) {
-    forkJoin(
-        pool_, [&] { tail(original, origProof, with); },
-        [&] { tail(transformed, transProof, without); });
-  }
+  forkJoin(
+      pool_, [&] { proveMatching(original, origProof); },
+      [&] { proveMatching(transformed, transProof); });
+  return withProofs(unproved, origProof, transProof);
+}
 
-  if (resolved.options.prove) {
-    const auto& [origStatus, origNote] = origProof;
-    const auto& [transStatus, transNote] = transProof;
-    artifact->proofOriginal = origStatus;
-    artifact->proofTransformed = transStatus;
-    artifact->proofNote =
-        worseOf(transStatus, origStatus) == transStatus ? transNote
-                                                        : origNote;
-    // The veto: an originally race-free (or at worst Unknown) kernel
-    // whose transformed IR is provably racy must never be served
-    // transformed — the transform manufactured the race. An original
-    // that is itself Refuted stays the author's problem; Grover did not
-    // make it worse.
-    if (origStatus != sym::ProofStatus::Refuted &&
-        transStatus == sym::ProofStatus::Refuted) {
-      artifact->proofVetoed = true;
-      bump(&Counters::proofVetoes);
+ArtifactPtr CompileService::compileUncached(const Request& resolved,
+                                            const CancelScope* cancel) {
+  bump(&Counters::compiles);
+  // Stage-boundary cancellation poll: cheap enough to sit between every
+  // stage, coarse enough that a stage never observes a torn abort.
+  const std::function<void()> checkCancelled = [cancel] {
+    if (cancel != nullptr && cancel->cancelled()) throw CancelledCompile{};
+  };
+
+  // Everything before the estimates belongs to the kernel, not the
+  // platform (DESIGN.md §8): reuse it when another platform's compile of
+  // this kernel built it, and parse its texts into fresh Programs, since
+  // an estimate renumbers the function it runs.
+  Request platformFree = resolved;
+  platformFree.platform.clear();
+  // A compile that follows another one building the entry polls its own
+  // scope: it never inherits a cancellation it did not ask for. Each
+  // compile waits only on running work (forkJoin reclaims a queued side
+  // task, an estimate waits only for helpers that started), so a follower
+  // never waits on a queued leader, even on a one-worker pool.
+  SingleFlightLru<ArtifactPtr>::Claim claim =
+      kernels_.claim(cacheKey(platformFree), checkCancelled);
+  ArtifactPtr entry = claim.value();
+  const bool estimating = !resolved.platform.empty();
+  Program original;
+  Program transformed;
+  if (claim.leading()) {
+    // Leading: the kernel half, published before any estimate so that
+    // compiles of this kernel for other platforms wait only for it.
+    ArtifactPtr unproved =
+        analyseKernel(resolved, original, transformed, checkCancelled);
+    if (!unproved->ok) return unproved;
+    entry = resolved.options.prove
+                ? proveKernel(resolved, *unproved, original, transformed,
+                              checkCancelled)
+                : unproved;
+    claim.publish(entry, entry->byteSize());
+  } else {
+    bump(&Counters::kernelReuses);
+    if (estimating) {
+      StageTimer timer(*this, &Counters::frontendNs);
+      original = parseProgram(entry->originalText);
+      transformed = parseProgram(entry->transformedText);
     }
   }
-  if (!resolved.platform.empty()) {
-    artifact->hasEstimate = true;
-    artifact->cyclesWithLM = with.cycles;
-    artifact->cyclesWithoutLM = without.cycles;
-    artifact->normalized =
-        perf::normalizedPerformance(with.cycles, without.cycles);
-    artifact->outcome = perf::classify(artifact->normalized);
+  if (!estimating) {
+    if (entry->proofVetoed) bump(&Counters::proofVetoes);
+    return entry;
   }
 
-  artifact->ok = true;
+  // The platform half: one estimate per Program, because the estimator's
+  // rt::KernelImage renumbers the function it runs; the two Programs
+  // share nothing, so both estimates run at once, and each one's
+  // work-groups spread over the pool's idle workers (DESIGN.md §8).
+  const apps::Application& app = apps::applicationById(resolved.appId);
+  const auto estimateVariant = [&](Program& program,
+                                   perf::PerfEstimate& estimate) {
+    // Estimation dominates cold latency, so it polls the scope before
+    // every work-group the tail runs: both tails estimate at once,
+    // leaving no stage boundary between them. The estimate borrows the
+    // service's own pool: idle workers join its work-groups and yield
+    // to any request that reaches the pool meanwhile. The pool's width
+    // stays the service's only concurrency setting.
+    checkCancelled();
+    {
+      StageTimer timer(*this, &Counters::estimateNs);
+      apps::Instance instance = app.makeInstance(resolved.scale);
+      estimate = perf::estimate(*perf::findPlatform(resolved.platform),
+                                *program.kernel(resolved.kernelName),
+                                instance.range, instance.args,
+                                instance.benchSampleStride, pool_,
+                                checkCancelled);
+    }
+    // Truncated to whole nanoseconds, so the phases never sum past the
+    // stage timer that encloses them.
+    bump(&Counters::estimateTraceNs,
+         static_cast<std::uint64_t>(estimate.traceMs * 1e6));
+    bump(&Counters::estimateDigestNs,
+         static_cast<std::uint64_t>(estimate.digestMs * 1e6));
+  };
+  perf::PerfEstimate with;
+  perf::PerfEstimate without;
+  forkJoin(
+      pool_, [&] { estimateVariant(original, with); },
+      [&] { estimateVariant(transformed, without); });
+
+  auto artifact = std::make_shared<Artifact>(*entry);
+  artifact->hasEstimate = true;
+  artifact->cyclesWithLM = with.cycles;
+  artifact->cyclesWithoutLM = without.cycles;
+  artifact->normalized =
+      perf::normalizedPerformance(with.cycles, without.cycles);
+  artifact->outcome = perf::classify(artifact->normalized);
+  if (artifact->proofVetoed) bump(&Counters::proofVetoes);
   return artifact;
 }
 
@@ -748,12 +823,16 @@ ServiceStats CompileService::stats() const {
   s.misses = snap.misses;
   s.diskHits = snap.diskHits;
   s.compiles = snap.compiles;
+  s.kernelReuses = snap.kernelReuses;
   s.cancelled = snap.cancelled;
   s.evictions = c.evictions;
   s.diskLoadFailures = c.diskLoadFailures;
   s.diskStores = c.diskStores;
   s.entries = c.entries;
   s.bytesInUse = c.bytesInUse;
+  const auto k = kernels_.stats();
+  s.kernelEntries = k.entries;
+  s.kernelEntryBytes = k.weight;
   const auto ms = [](std::uint64_t ns) {
     return static_cast<double>(ns) / 1e6;
   };

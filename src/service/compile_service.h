@@ -10,18 +10,21 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
 
+#include "grovercl/compiler.h"
 #include "perf/measure.h"
 #include "policy/decision_engine.h"
 #include "policy/feedback.h"
 #include "policy/policy_store.h"
 #include "service/artifact_cache.h"
 #include "service/cancel.h"
+#include "support/single_flight_lru.h"
 #include "support/thread_pool.h"
 
 namespace grover::service {
@@ -35,6 +38,9 @@ struct ServiceConfig {
   /// Max requests being compiled or queued at once; submit() blocks
   /// (back-pressure) when the bound is reached.
   std::size_t maxQueue = 256;
+  /// The artifact tier. Its maxBytes is the service's whole in-memory
+  /// budget: the kernel entries take an eighth of it and the artifacts
+  /// the rest.
   ArtifactCache::Config cache;
   /// Decision store of the compileAuto() path; set diskDir to persist
   /// decisions across runs (groverc --policy-dir).
@@ -72,12 +78,19 @@ struct ServiceStats {
   std::uint64_t coalesced = 0;     // joined an in-flight identical request
   std::uint64_t misses = 0;        // became the compiling leader
   std::uint64_t diskHits = 0;      // leader loaded the disk artifact
-  std::uint64_t compiles = 0;      // full pipeline executions
+  std::uint64_t compiles = 0;      // pipeline executions, one per artifact
+  /// Of those compiles, the ones served from another platform's kernel
+  /// entry (a hit, or a follower of the compile building it): no
+  /// frontend, Grover, print or prove, only the two estimates.
+  std::uint64_t kernelReuses = 0;
   std::uint64_t evictions = 0;
   std::uint64_t diskLoadFailures = 0;
   std::uint64_t diskStores = 0;
   std::uint64_t entries = 0;
   std::uint64_t bytesInUse = 0;
+  /// The kernel entries held in memory, outside entries/bytesInUse.
+  std::uint64_t kernelEntries = 0;
+  std::uint64_t kernelEntryBytes = 0;
   /// Cold compiles abandoned at a stage boundary because every waiting
   /// client disconnected (nothing is cached for them).
   std::uint64_t cancelled = 0;
@@ -230,7 +243,8 @@ class CompileService {
   /// and tests can inspect the canonical form. Throws GroverError.
   [[nodiscard]] static Request resolve(Request request);
 
-  /// Stable content hash of a *resolved* request — the cache key.
+  /// Stable content hash of a *resolved* request — the cache key. With
+  /// the platform cleared it is the key of the request's kernel entry.
   [[nodiscard]] static std::uint64_t cacheKey(const Request& resolved);
 
  private:
@@ -239,7 +253,8 @@ class CompileService {
   /// whole block atomically instead of reading fields one by one.
   struct Counters {
     std::uint64_t requests = 0, memoryHits = 0, negativeHits = 0,
-        coalesced = 0, misses = 0, diskHits = 0, compiles = 0, cancelled = 0;
+        coalesced = 0, misses = 0, diskHits = 0, compiles = 0, cancelled = 0,
+        kernelReuses = 0;
     std::uint64_t policyHits = 0, policyMisses = 0, policyStores = 0;
     std::uint64_t measurements = 0, nativeMeasurements = 0,
         policyRefreshes = 0, measurementsDropped = 0;
@@ -281,15 +296,30 @@ class CompileService {
     counters_.*field += delta;
   }
 
-  /// The full cold pipeline. After the print stage it forks into the
-  /// original's and the transformed variant's prove+estimate tails; the
-  /// original's is a reclaimable side task on pool_, the transformed one
-  /// runs inline, and the call returns only after both finished.
-  /// `cancel` (may be null) is polled at stage boundaries, in each tail
-  /// too; on trigger the compile aborts by exception, caught by the
-  /// submit() worker.
+  /// The full cold pipeline. It first takes the request's kernel entry
+  /// (kernels_.claim). A compile that leads builds the entry: frontend,
+  /// Grover and print (analyseKernel), then both proofs when asked
+  /// (proveKernel), and publishes it before estimating. One that reuses
+  /// an entry parses its two IR texts instead. Then it forks into the
+  /// original's and the transformed variant's estimates; the original's
+  /// is a reclaimable side task on pool_, the transformed one runs
+  /// inline, and the call returns only after both finished. `cancel`
+  /// (may be null) is polled at stage boundaries, in each fork branch and
+  /// while following too; on trigger the compile aborts by exception,
+  /// caught by the submit() worker.
   [[nodiscard]] ArtifactPtr compileUncached(const Request& resolved,
                                             const CancelScope* cancel);
+  /// A leader's kernel half: frontend ×2, Grover on `transformed`,
+  /// verify and print. Returns the kernel entry before proofs, or a
+  /// negative artifact.
+  [[nodiscard]] ArtifactPtr analyseKernel(
+      const Request& resolved, Program& original, Program& transformed,
+      const std::function<void()>& checkCancelled);
+  /// Proves both variants, forked like the estimates, and returns
+  /// `unproved` with the proofs, note and veto: the proved kernel entry.
+  [[nodiscard]] ArtifactPtr proveKernel(
+      const Request& resolved, const Artifact& unproved, Program& original,
+      Program& transformed, const std::function<void()>& checkCancelled);
   /// Deterministic measurement sampling of one eligible compileAuto()
   /// result. Synchronous mode (measureQueueDepth == 0) measures inline
   /// and folds the np before returning; queue mode enqueues the sample
@@ -319,6 +349,11 @@ class CompileService {
     CancelScopePtr cancel;
   };
   std::unordered_map<std::uint64_t, Inflight> inflight_;
+  /// Platform-free kernel entries (DESIGN.md §8): the artifact a compile
+  /// has before estimating, keyed by cacheKey() with the platform cleared
+  /// and built single-flight. Memory only, an eighth of
+  /// config_.cache.maxBytes; holds texts, never Programs.
+  SingleFlightLru<ArtifactPtr> kernels_;
   std::size_t pending_ = 0;
   bool stopping_ = false;
   /// Measurement sampling accumulator (guarded by mutex_): gains

@@ -1,16 +1,20 @@
 // Cache semantics of the compilation service: LRU byte budget, negative
 // caching of compile failures, the on-disk tier (hit, corruption
-// fallback), and bit-identity of cached estimates with the uncached
-// Harness path.
+// fallback), bit-identity of cached estimates with the uncached Harness
+// path, and of compiles that reuse another platform's kernel entry with
+// fresh ones.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "grovercl/harness.h"
+#include "perf/platform.h"
 #include "service/compile_service.h"
 #include "support/diagnostics.h"
 
@@ -333,6 +337,94 @@ TEST(ServiceEstimates, EstimateTimeSplitsIntoTraceAndDigest) {
   EXPECT_GT(s.estimateTraceMs, 0.0);
   EXPECT_GT(s.estimateDigestMs, 0.0);
   EXPECT_LE(s.estimateTraceMs + s.estimateDigestMs, s.estimateMs);
+}
+
+/// Every field of two served artifacts, estimates compared bitwise.
+void expectSameArtifact(const Artifact& a, const Artifact& b) {
+  ASSERT_TRUE(a.ok) << a.diagnostics;
+  ASSERT_TRUE(b.ok) << b.diagnostics;
+  EXPECT_TRUE(a.hasEstimate);
+  EXPECT_EQ(a.hasEstimate, b.hasEstimate);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cyclesWithLM),
+            std::bit_cast<std::uint64_t>(b.cyclesWithLM));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cyclesWithoutLM),
+            std::bit_cast<std::uint64_t>(b.cyclesWithoutLM));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.normalized),
+            std::bit_cast<std::uint64_t>(b.normalized));
+  EXPECT_EQ(a.outcome, b.outcome);
+  EXPECT_NE(a.proofOriginal, sym::ProofStatus::Unchecked);
+  EXPECT_EQ(a.proofOriginal, b.proofOriginal);
+  EXPECT_EQ(a.proofTransformed, b.proofTransformed);
+  EXPECT_EQ(a.proofNote, b.proofNote);
+  EXPECT_EQ(a.proofVetoed, b.proofVetoed);
+  EXPECT_EQ(a.report.anyTransformed, b.report.anyTransformed);
+  EXPECT_EQ(a.report.barriersRemoved, b.report.barriersRemoved);
+  ASSERT_EQ(a.report.buffers.size(), b.report.buffers.size());
+  for (std::size_t i = 0; i < a.report.buffers.size(); ++i) {
+    const grv::BufferResult& x = a.report.buffers[i];
+    const grv::BufferResult& y = b.report.buffers[i];
+    EXPECT_EQ(x.bufferName, y.bufferName);
+    EXPECT_EQ(x.transformed, y.transformed);
+    EXPECT_EQ(x.reason, y.reason);
+    EXPECT_EQ(x.glIndex, y.glIndex);
+    EXPECT_EQ(x.lsIndex, y.lsIndex);
+    EXPECT_EQ(x.llIndex, y.llIndex);
+    EXPECT_EQ(x.nglIndex, y.nglIndex);
+    EXPECT_EQ(x.solution, y.solution);
+    EXPECT_EQ(x.lsPattern, y.lsPattern);
+    EXPECT_EQ(x.llPattern, y.llPattern);
+    EXPECT_EQ(x.numLocalLoads, y.numLocalLoads);
+    EXPECT_EQ(x.numStagingPairs, y.numStagingPairs);
+  }
+  EXPECT_EQ(a.originalText, b.originalText);
+  EXPECT_EQ(a.transformedText, b.transformedText);
+}
+
+// A compile that reuses the kernel entry another platform's compile left
+// (parsed IR texts, stored proofs) serves exactly what a fresh compile
+// of the same request does.
+TEST(ServiceKernelReuse, EveryPlatformMatchesAFreshCompile) {
+  const std::vector<perf::PlatformSpec> platforms = perf::allPlatforms();
+  ASSERT_EQ(platforms.size(), 6u);
+  const auto request = [](const std::string& app,
+                          const perf::PlatformSpec& platform) {
+    Request r;
+    r.appId = app;
+    r.platform = platform.name;
+    r.scale = apps::Scale::Test;
+    r.options.prove = true;
+    return r;
+  };
+  for (const auto& app : apps::allApplications()) {
+    // One service learns the kernel on the last platform and then reuses
+    // it for the other five; a second learns it on the first platform
+    // and reuses it for the last.
+    std::vector<ArtifactPtr> reused(platforms.size());
+    {
+      CompileService service(ServiceConfig{});
+      ASSERT_TRUE(service.run(request(app->id(), platforms.back()))->ok);
+      for (std::size_t p = 0; p + 1 < platforms.size(); ++p) {
+        reused[p] = service.run(request(app->id(), platforms[p]));
+      }
+      const ServiceStats s = service.stats();
+      EXPECT_EQ(s.compiles, platforms.size());
+      EXPECT_EQ(s.kernelReuses, platforms.size() - 1);
+      EXPECT_EQ(s.proofsRun, 2u);
+    }
+    {
+      CompileService service(ServiceConfig{});
+      ASSERT_TRUE(service.run(request(app->id(), platforms.front()))->ok);
+      reused.back() = service.run(request(app->id(), platforms.back()));
+      EXPECT_EQ(service.stats().kernelReuses, 1u);
+    }
+    for (std::size_t p = 0; p < platforms.size(); ++p) {
+      SCOPED_TRACE(app->id() + " on " + platforms[p].name);
+      CompileService fresh(ServiceConfig{});
+      const ArtifactPtr expected = fresh.run(request(app->id(), platforms[p]));
+      EXPECT_EQ(fresh.stats().kernelReuses, 0u);
+      expectSameArtifact(*reused[p], *expected);
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // every waiter must observe identical module text. Also the cold compile's
 // fork of its two per-variant tails onto the service pool: identical for
 // every pool width, deadlock-free on a saturated pool, and cancellable.
+// And the platform-free kernel entry: compiles of one kernel for several
+// platforms at once analyse and prove it once, and a cancelled leader
+// leaves its followers to finish.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "perf/platform.h"
 #include "service/compile_service.h"
 #include "support/diagnostics.h"
 
@@ -259,6 +263,100 @@ TEST(ServiceFork, CancelWhileBothTailsRunCachesNothing) {
   EXPECT_TRUE(service.run(request)->ok);
   EXPECT_EQ(service.stats().compiles, 2u);
   EXPECT_EQ(service.stats().memoryHits, 0u);
+}
+
+TEST(ServiceKernelEntry, ConcurrentPlatformsShareOneKernelAnalysis) {
+  const std::vector<perf::PlatformSpec> platforms = perf::allPlatforms();
+  std::vector<ArtifactPtr> serial;
+  {
+    ServiceConfig config;
+    config.workers = 1;
+    CompileService service(config);
+    for (const perf::PlatformSpec& platform : platforms) {
+      serial.push_back(service.run(provedRequest("NVD-MM-B", platform.name)));
+    }
+  }
+  for (unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ServiceConfig config;
+    config.workers = workers;
+    CompileService service(config);
+    std::vector<CompileService::Future> futures;
+    for (const perf::PlatformSpec& platform : platforms) {
+      futures.push_back(
+          service.submit(provedRequest("NVD-MM-B", platform.name)));
+    }
+    for (std::size_t p = 0; p < platforms.size(); ++p) {
+      SCOPED_TRACE(platforms[p].name);
+      const ArtifactPtr a = futures[p].get();
+      const Artifact& b = *serial[p];
+      ASSERT_TRUE(a->ok) << a->diagnostics;
+      EXPECT_EQ(a->cyclesWithLM, b.cyclesWithLM);
+      EXPECT_EQ(a->cyclesWithoutLM, b.cyclesWithoutLM);
+      EXPECT_EQ(a->outcome, b.outcome);
+      EXPECT_EQ(a->proofOriginal, b.proofOriginal);
+      EXPECT_EQ(a->proofTransformed, b.proofTransformed);
+      EXPECT_EQ(a->proofNote, b.proofNote);
+      EXPECT_EQ(a->originalText, b.originalText);
+      EXPECT_EQ(a->transformedText, b.transformedText);
+    }
+    const ServiceStats s = service.stats();
+    EXPECT_EQ(s.proofsRun, 2u) << "one kernel, proved once";
+    EXPECT_EQ(s.compiles, platforms.size());
+    EXPECT_EQ(s.kernelReuses, platforms.size() - 1);
+  }
+}
+
+TEST(ServiceKernelEntry, CancelledLeaderLeavesFollowersToFinish) {
+  // The leader publishes the kernel entry once both proofs are done and
+  // only then starts its long Bench-scale estimates, where its only waiter
+  // cancels. A compile of the kernel for another platform, sent once the
+  // proofs are done, finishes from that entry whenever it gets a worker,
+  // and nothing is cached under the cancelled key. A leader cancelled
+  // before it publishes hands the lead to a follower instead:
+  // SingleFlightLru.AbandonedLeadPassesToOneWaiter pins that handover.
+  ServiceConfig config;
+  config.workers = 2;
+  CompileService service(config);
+  const Request leader = provedRequest("NVD-MT", "SNB", apps::Scale::Bench);
+  const Request follower =
+      provedRequest("NVD-MT", "Fermi", apps::Scale::Bench);
+  CancelToken token = makeCancelToken();
+  CompileService::Future led = service.submit(leader, token);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::minutes(1);
+  while (service.stats().proofsRun < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  ASSERT_EQ(service.stats().proofsRun, 2u);
+  CompileService::Future followed = service.submit(follower);
+  token->store(true);
+
+  const ArtifactPtr cancelled = led.get();
+  EXPECT_FALSE(cancelled->ok);
+  EXPECT_NE(cancelled->diagnostics.find("cancelled"), std::string::npos)
+      << cancelled->diagnostics;
+  const ArtifactPtr a = followed.get();
+  ASSERT_TRUE(a->ok) << a->diagnostics;
+  EXPECT_TRUE(a->hasEstimate);
+  EXPECT_NE(a->proofOriginal, sym::ProofStatus::Unchecked);
+  service.drain();
+  ServiceStats s = service.stats();
+  EXPECT_EQ(s.cancelled, 1u);
+  // The follower reused the leader's entry: no proof of its own, and only
+  // its artifact is cached.
+  EXPECT_EQ(s.proofsRun, 2u);
+  EXPECT_EQ(s.kernelReuses, 1u);
+  EXPECT_EQ(s.entries, 1u);
+
+  // The cancelled key compiles afresh, from the same entry.
+  EXPECT_TRUE(service.run(leader)->ok);
+  s = service.stats();
+  EXPECT_EQ(s.memoryHits, 0u);
+  EXPECT_EQ(s.compiles, 3u);
+  EXPECT_EQ(s.kernelReuses, 2u);
+  EXPECT_EQ(s.proofsRun, 2u);
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
-// String helpers, diagnostics, thread pool.
+// String helpers, diagnostics, thread pool, single-flight LRU.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <latch>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "support/diagnostics.h"
 #include "support/hash.h"
 #include "support/malloc_tuning.h"
+#include "support/single_flight_lru.h"
 #include "support/str.h"
 #include "support/thread_pool.h"
 
@@ -179,6 +182,92 @@ TEST(ThreadPool, OfferedTasksRunOnlyWhenNoSubmittedTaskWaits) {
   pool.waitIdle();  // waits for offered tasks too
   EXPECT_FALSE(pool.hasWaiting());
   EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
+}
+
+using IntFlight = SingleFlightLru<std::shared_ptr<const int>>;
+
+/// Claims `key` on a new thread that counts its waits; the claim's result
+/// lands in `out` (a leading claim publishes `mine` first).
+std::thread claimOnThread(IntFlight& store, std::atomic<int>& waits,
+                          int mine, std::shared_ptr<const int>& out,
+                          std::atomic<bool>& led) {
+  return std::thread([&store, &waits, &out, &led, mine] {
+    IntFlight::Claim claim = store.claim(7, [&waits] { ++waits; });
+    if (claim.leading()) {
+      led = true;
+      claim.publish(std::make_shared<const int>(mine), 1);
+    }
+    out = claim.value();
+  });
+}
+
+void waitUntil(const std::atomic<int>& waits, int atLeast) {
+  while (waits.load() < atLeast) std::this_thread::yield();
+}
+
+TEST(SingleFlightLru, WaitersGetTheLeadersValue) {
+  IntFlight store(16, 1);
+  IntFlight::Claim lead = store.claim(7, [] {});
+  ASSERT_TRUE(lead.leading());
+  std::atomic<int> waits{0};
+  std::atomic<bool> led{false};
+  std::shared_ptr<const int> got;
+  std::thread waiter = claimOnThread(store, waits, 2, got, led);
+  waitUntil(waits, 1);  // the waiter is parked on the lead
+  lead.publish(std::make_shared<const int>(1), 1);
+  waiter.join();
+  EXPECT_FALSE(led.load());
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(*got, 1);
+  const IntFlight::Claim hit = store.claim(7, [] {});
+  EXPECT_FALSE(hit.leading());
+  EXPECT_EQ(hit.value(), got);
+  EXPECT_EQ(store.stats().entries, 1u);
+}
+
+TEST(SingleFlightLru, AbandonedLeadPassesToOneWaiter) {
+  // A leader that leaves without a value (a cancelled or failed build)
+  // must not hand its waiters its failure: one of them builds instead,
+  // and the other gets that value.
+  IntFlight store(16, 1);
+  std::atomic<int> waits1{0}, waits2{0};
+  std::atomic<bool> led1{false}, led2{false};
+  std::shared_ptr<const int> got1, got2;
+  std::thread first, second;
+  {
+    IntFlight::Claim lead = store.claim(7, [] {});
+    ASSERT_TRUE(lead.leading());
+    first = claimOnThread(store, waits1, 1, got1, led1);
+    second = claimOnThread(store, waits2, 2, got2, led2);
+    waitUntil(waits1, 1);
+    waitUntil(waits2, 1);
+  }  // the lead ends unpublished
+  first.join();
+  second.join();
+  EXPECT_NE(led1.load(), led2.load()) << "exactly one waiter leads";
+  ASSERT_NE(got1, nullptr);
+  EXPECT_EQ(got1, got2);
+  EXPECT_EQ(*got1, led1.load() ? 1 : 2);
+  EXPECT_EQ(store.stats().entries, 1u);
+}
+
+TEST(SingleFlightLru, AWaiterLeavesOnItsOwnException) {
+  IntFlight store(16, 1);
+  IntFlight::Claim lead = store.claim(7, [] {});
+  std::atomic<bool> threw{false};
+  std::thread waiter([&] {
+    try {
+      (void)store.claim(7, [] { throw std::runtime_error("gone"); });
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+  });
+  waiter.join();
+  EXPECT_TRUE(threw.load());
+  // The lead is untouched: it still publishes, and the value is stored.
+  ASSERT_TRUE(lead.leading());
+  lead.publish(std::make_shared<const int>(3), 1);
+  EXPECT_EQ(*store.claim(7, [] {}).value(), 3);
 }
 
 TEST(MallocTuning, PinnedThresholdMapsBlocksAfterALargerFree) {

@@ -11,7 +11,9 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 
+#include "apps/app.h"
 #include "check/kernel_gen.h"
 #include "check/validator.h"
 #include "grovercl/compiler.h"
@@ -93,6 +95,47 @@ TEST(SymWiring, ProveIsPartOfTheCacheKey) {
       service::CompileService::cacheKey(service::CompileService::resolve(with)),
       service::CompileService::cacheKey(
           service::CompileService::resolve(without)));
+}
+
+TEST(SymWiring, ProofGeometryIsPartOfTheCacheKey) {
+  // An app request proves under its launch geometry, a raw-source request
+  // of the same kernel under a per-kernel one, and the two disagree on
+  // AMD-MT. Whichever arrives first must not decide the other's proof.
+  const apps::Application& app = apps::applicationById("AMD-MT");
+  service::Request appReq;
+  appReq.appId = app.id();
+  appReq.options.prove = true;
+  service::Request rawReq;
+  rawReq.source = app.source();
+  rawReq.kernelName = app.kernelName();
+  rawReq.options.onlyBuffers = app.buffersToDisable();
+  rawReq.options.prove = true;
+  EXPECT_NE(service::CompileService::cacheKey(
+                service::CompileService::resolve(appReq)),
+            service::CompileService::cacheKey(
+                service::CompileService::resolve(rawReq)));
+
+  const auto statuses = [](const service::ArtifactPtr& a) {
+    EXPECT_TRUE(a->ok) << a->diagnostics;
+    return std::make_pair(a->proofOriginal, a->proofTransformed);
+  };
+  const auto alone = [&](const service::Request& req) {
+    service::CompileService svc;
+    return statuses(svc.run(req));
+  };
+  const auto appAlone = alone(appReq);
+  const auto rawAlone = alone(rawReq);
+  ASSERT_NE(appAlone, rawAlone) << "the geometries no longer disagree";
+  for (const bool appFirst : {true, false}) {
+    SCOPED_TRACE(appFirst ? "app first" : "raw first");
+    service::CompileService svc;
+    const service::Request& first = appFirst ? appReq : rawReq;
+    const service::Request& second = appFirst ? rawReq : appReq;
+    const auto firstServed = statuses(svc.run(first));
+    const auto secondServed = statuses(svc.run(second));
+    EXPECT_EQ(appFirst ? firstServed : secondServed, appAlone);
+    EXPECT_EQ(appFirst ? secondServed : firstServed, rawAlone);
+  }
 }
 
 TEST(SymWiring, RacyOriginalIsRefutedButNotAVeto) {

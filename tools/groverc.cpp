@@ -100,7 +100,8 @@ void usage() {
       "                    service (one request per line; see\n"
       "                    tools/README.md)\n"
       "  --repeat=K        replay the batch K times (default 1)\n"
-      "  --cache-mb=M      service cache byte budget in MiB (default 256)\n"
+      "  --cache-mb=M      service cache byte budget in MiB, artifacts and\n"
+      "                    kernel entries together (default 256)\n"
       "  --cache-dir=DIR   enable the on-disk artifact cache tier\n"
       "  --auto            route serve-batch requests through the policy\n"
       "                    engine: warm per-kernel/per-platform decisions\n"

@@ -63,8 +63,8 @@ void usage() {
       "                      connection's in-flight requests before IT is\n"
       "                      rejected while others still admit (default\n"
       "                      64 = groverc's pipeline window; 0 disables)\n"
-      "  --cache-mb=M        artifact cache byte budget in MiB (default\n"
-      "                      256)\n"
+      "  --cache-mb=M        in-memory cache byte budget in MiB, artifacts\n"
+      "                      and kernel entries together (default 256)\n"
       "  --cache-dir=DIR     enable the on-disk artifact cache tier\n"
       "  --policy-dir=DIR    persist policy decisions on disk\n"
       "  --measure-rate=<f>  execute this fraction (0..1] of policy-routed\n"
